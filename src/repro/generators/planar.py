@@ -11,15 +11,32 @@ planarity test and networkx.
 
 from __future__ import annotations
 
-try:
-    from scipy.spatial import Delaunay
-except ImportError:  # pragma: no cover - the no-NumPy/SciPy CI leg
-    Delaunay = None
-
 from ..errors import GraphError
 from ..graph import Graph
 from ..rng import NumpySeedLike, SeedLike, ensure_numpy_rng, ensure_rng
 from .classic import grid_graph
+
+
+def _delaunay_class():
+    """``scipy.spatial.Delaunay``, or ``None`` where scipy is missing.
+
+    Imported on first use rather than with the package: ``scipy.spatial``
+    costs about half a second, which every ``import repro`` (CLI start,
+    spawned worker, chaos subprocess) would otherwise pay.
+    """
+    try:
+        from scipy.spatial import Delaunay
+    except ImportError:  # pragma: no cover - the no-NumPy/SciPy CI leg
+        return None
+    return Delaunay
+
+
+def __getattr__(name: str):
+    # ``planar.Delaunay`` stays available as an availability probe
+    # (``None`` without scipy) without importing scipy up front.
+    if name == "Delaunay":
+        return _delaunay_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def triangulated_grid_graph(rows: int, cols: int) -> Graph:
@@ -45,6 +62,7 @@ def delaunay_planar_graph(n: int, seed: NumpySeedLike = None) -> Graph:
     """
     if n < 3:
         raise GraphError("a Delaunay triangulation needs at least 3 points")
+    Delaunay = _delaunay_class()
     if Delaunay is None:
         raise GraphError(
             "delaunay_planar_graph requires numpy and scipy; use a "

@@ -13,15 +13,16 @@ Designed for the sparse cluster-sized graphs the framework produces:
   cannot win.
 
 A node budget turns worst-case blowups into a loud
-:class:`SolverError` instead of a silent hang.
+:class:`SolverBudgetError` instead of a silent hang.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..errors import SolverError
+from ..errors import SolverBudgetError, SolverError
 from ..graph import Graph
+from ..obs import registry as _telemetry
 
 #: Default search budget (branch nodes) before giving up.
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -47,7 +48,7 @@ class _MaxisSearch:
         """
         self.nodes += 1
         if self.nodes > self.budget:
-            raise SolverError("exact MAXIS exceeded its node budget")
+            raise SolverBudgetError("exact MAXIS exceeded its node budget")
 
         chosen: Set = set()
         remaining = set(vertices)
@@ -270,14 +271,21 @@ def solve_maxis(graph: Graph, node_budget: int = 100_000) -> Set:
     branch and bound, falling back to min-degree greedy plus
     2-improvement local search when the cluster is beyond the exact
     envelope.  The fallback is only approximate, which experiment E4
-    accounts for by reporting measured ratios.
+    accounts for by reporting measured ratios.  Only budget exhaustion
+    falls back; an internal-check failure propagates.  Counts
+    ``solve.maxis.nodes`` and ``solve.maxis.fallbacks`` when telemetry
+    is on.
     """
     from .greedy import greedy_min_degree_is
 
+    search = _MaxisSearch(graph, node_budget)
     try:
-        return exact_maxis(graph, node_budget=node_budget)
-    except SolverError:
+        return _run_checked(graph, search)
+    except SolverBudgetError:
+        _telemetry.count("solve.maxis.fallbacks")
         return two_improvement_is(graph, greedy_min_degree_is(graph))
+    finally:
+        _telemetry.count("solve.maxis.nodes", search.nodes)
 
 
 def exact_maxis(graph: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Set:
@@ -285,10 +293,13 @@ def exact_maxis(graph: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Set:
 
     Exact; exponential in the worst case but fast on the sparse
     clusters the framework produces (degree-2 folding makes planar
-    instances near-linear in practice).  Raises :class:`SolverError` if
-    the branch-node budget is exhausted.
+    instances near-linear in practice).  Raises
+    :class:`SolverBudgetError` if the branch-node budget is exhausted.
     """
-    search = _MaxisSearch(graph, node_budget)
+    return _run_checked(graph, _MaxisSearch(graph, node_budget))
+
+
+def _run_checked(graph: Graph, search: _MaxisSearch) -> Set:
     result = search.solve(set(graph.vertices()))
     # Safety net: the result must be independent.
     for v in result:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
 
 from ..core.framework import FrameworkResult, density_bound, run_framework
-from ..errors import SolverError
+from ..errors import SolverBudgetError, SolverError
 from ..graph import Graph
 from ..rng import SeedLike, ensure_rng
 
@@ -61,7 +61,9 @@ class _WeightedSearch:
     def solve(self, remaining: Set) -> Set:
         self.nodes += 1
         if self.nodes > self.budget:
-            raise SolverError("exact weighted MAXIS exceeded its node budget")
+            raise SolverBudgetError(
+                "exact weighted MAXIS exceeded its node budget"
+            )
 
         chosen: Set = set()
         live = set(remaining)
@@ -160,10 +162,14 @@ def exact_weighted_maxis(
 def solve_weighted_maxis(
     graph: Graph, weights: Weights, node_budget: int = 100_000
 ) -> Set:
-    """Exact when affordable, ratio-greedy otherwise."""
+    """Exact when affordable, ratio-greedy otherwise.
+
+    Only budget exhaustion falls back; an internal-check failure
+    propagates.
+    """
     try:
         return exact_weighted_maxis(graph, weights, node_budget=node_budget)
-    except SolverError:
+    except SolverBudgetError:
         return greedy_weighted_is(graph, weights)
 
 

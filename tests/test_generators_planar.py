@@ -5,6 +5,10 @@ class by our own exact checkers (and, for planarity, cross-checked with
 networkx in test_planarity.py).
 """
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
@@ -21,6 +25,23 @@ from repro.generators import (
     triangulated_grid_graph,
 )
 from repro.minors import is_outerplanar, is_planar, is_series_parallel
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial is imported by delaunay_planar_graph on first use,
+    # not by ``import repro``: CLI start-up and every spawned worker
+    # would otherwise pay for it.
+    script = (
+        "import sys, repro.cli; "
+        "assert 'scipy.spatial' not in sys.modules, 'eager scipy.spatial'"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPlanarGenerators:

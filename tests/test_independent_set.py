@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.framework import density_bound
-from repro.errors import SolverError
+from repro.errors import SolverBudgetError, SolverError
 from repro.generators import (
     complete_graph,
     cycle_graph,
@@ -26,6 +26,8 @@ from repro.independent_set import (
     solve_maxis,
     two_improvement_is,
 )
+from repro.independent_set.exact import _MaxisSearch
+from repro.obs.registry import telemetry_scope
 
 
 def nx_maxis_size(g: Graph) -> int:
@@ -81,7 +83,7 @@ class TestExactMaxis:
 
     def test_node_budget_raises(self):
         g = gnp_random_graph(40, 0.5, seed=3)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverBudgetError):
             exact_maxis(g, node_budget=5)
 
 
@@ -115,6 +117,27 @@ class TestHeuristics:
         s = solve_maxis(g, node_budget=100)
         assert is_independent(g, s)
         assert len(s) >= 1
+
+    def test_solve_maxis_raises_on_internal_check_failure(self, monkeypatch):
+        # Only budget exhaustion may fall back; a broken exact solver
+        # must not hide behind the local search.
+        monkeypatch.setattr(_MaxisSearch, "solve", lambda self, vs: set(vs))
+        with pytest.raises(SolverError, match="dependent"):
+            solve_maxis(grid_graph(3, 3))
+
+    def test_solve_maxis_counts_nodes_and_fallbacks(self):
+        small = k_tree(30, 2, seed=1)
+        search = _MaxisSearch(small, 100_000)
+        search.solve(set(small.vertices()))
+        hard = gnp_random_graph(60, 0.4, seed=8)
+        with telemetry_scope() as registry:
+            solve_maxis(small)
+        assert registry.counters["solve.maxis.nodes"] == search.nodes
+        assert "solve.maxis.fallbacks" not in registry.counters
+        with telemetry_scope() as registry:
+            solve_maxis(hard, node_budget=100)
+        assert registry.counters["solve.maxis.fallbacks"] == 1
+        assert registry.counters["solve.maxis.nodes"] == 101
 
 
 class TestLubyMIS:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SolverError
+from repro.errors import SolverBudgetError, SolverError
 from repro.generators import (
     cycle_graph,
     delaunay_planar_graph,
@@ -22,6 +22,7 @@ from repro.independent_set import (
     greedy_weighted_is,
     solve_weighted_maxis,
 )
+from repro.independent_set.weighted import _WeightedSearch
 
 
 def brute_force_weighted(g, weights):
@@ -75,7 +76,7 @@ class TestExactWeighted:
     def test_budget_raises(self):
         rnd = random.Random(0)
         g = gnp_random_graph(40, 0.5, seed=1)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverBudgetError):
             exact_weighted_maxis(g, random_weights(g, rnd), node_budget=3)
 
 
@@ -92,6 +93,13 @@ class TestGreedyAndSolve:
         g = gnp_random_graph(40, 0.4, seed=3)
         s = solve_weighted_maxis(g, random_weights(g, rnd), node_budget=3)
         assert is_independent(g, s)
+
+    def test_solve_raises_on_internal_check_failure(self, monkeypatch):
+        # Only budget exhaustion may fall back to the greedy.
+        monkeypatch.setattr(_WeightedSearch, "solve", lambda self, vs: set(vs))
+        g = grid_graph(3, 3)
+        with pytest.raises(SolverError, match="dependent"):
+            solve_weighted_maxis(g, {v: 1 for v in g.vertices()})
 
 
 class TestDistributedWeighted:
