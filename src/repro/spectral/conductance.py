@@ -25,35 +25,132 @@ except ImportError:  # pragma: no cover - the no-NumPy CI leg
     np = None
 
 from ..errors import GraphError, SolverError
-from ..graph import Graph
+from ..graph import Graph, canonical_vertex_order
+from ..obs import registry as _telemetry
 
 #: Largest vertex count for which exact (2^n) conductance is allowed.
 EXACT_CONDUCTANCE_LIMIT = 20
 
-#: Matrix size above which only the two smallest eigenpairs are computed
-#: (LAPACK ``syevr`` range selection) instead of the full spectrum.
-_PARTIAL_EIGH_MIN_N = 64
+#: Eigenvalues within this distance of lambda_2 count as lambda_2: the
+#: Fiedler vector is chosen from that whole (possibly repeated) eigenspace.
+_EIGENSPACE_TOL = 1e-8
 
-try:
-    from scipy.linalg import eigh as _scipy_eigh
-except ImportError:  # pragma: no cover - scipy ships with the toolchain
-    _scipy_eigh = None
+#: Vertex count from which the bottom of the spectrum comes from a sparse
+#: shift-invert Lanczos solve instead of a dense eigendecomposition (the
+#: measured crossover on Delaunay, 3-tree and grid clusters).
+_SPARSE_MIN_N = 128
+
+#: Shift for the sparse solve: just below the spectrum, whose smallest
+#: eigenvalue is 0, so L - sigma * I stays positive definite.
+_SHIFT = -1e-3
+
+#: Sweep embeddings are rounded to this fraction of their largest
+#: magnitude before ranking, so solver round-off cannot reorder ties.
+_SWEEP_QUANTUM = 1e-9
 
 
-def _smallest_two(lap: np.ndarray, vectors: bool):
-    """Eigenvalues (and optionally vectors) for the two smallest pairs.
+def _canonical_ranks(order: List) -> np.ndarray:
+    """Rank of each vertex of ``order`` in :func:`canonical_vertex_order`."""
+    rank = {v: i for i, v in enumerate(canonical_vertex_order(order))}
+    return np.fromiter((rank[v] for v in order), dtype=np.int64, count=len(order))
 
-    Large Laplacians only ever need ``lambda_2`` and its eigenvector, so
-    restricting the solve to the bottom of the spectrum avoids the full
-    O(n^3) dense eigendecomposition on big clusters.
+
+def _probe(ranks: np.ndarray) -> np.ndarray:
+    """Fixed pseudo-random entries in [-1/2, 1/2), one per canonical rank.
+
+    The splitmix64 finalizer in exact integer arithmetic, so the probe
+    is the same on every platform and for every insertion order.
     """
-    if _scipy_eigh is not None and lap.shape[0] >= _PARTIAL_EIGH_MIN_N:
-        return _scipy_eigh(
-            lap, subset_by_index=[0, 1], eigvals_only=not vectors
-        )
-    if vectors:
-        return np.linalg.eigh(lap)
-    return np.linalg.eigvalsh(lap)
+    z = (ranks.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(float) * 2.0**-53 - 0.5
+
+
+def _sparse_laplacian(graph: Graph, order: List):
+    """The normalized Laplacian in CSR form, built from the adjacency rows."""
+    from scipy.sparse import csr_matrix, diags
+
+    adj = graph._adj
+    n = len(order)
+    index = {v: i for i, v in enumerate(order)}
+    deg = np.array([len(adj[v]) for v in order], dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.fromiter(
+        (index[u] for v in order for u in adj[v]), dtype=np.int64, count=indptr[-1]
+    )
+    d_inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1)), 0.0)
+    data = -np.repeat(d_inv_sqrt, deg) * d_inv_sqrt[indices]
+    off = csr_matrix((data, indices, indptr), shape=(n, n))
+    return off + diags((deg > 0).astype(float), format="csr")
+
+
+def _sparse_bottom(graph: Graph, order: List, probe: np.ndarray):
+    """Smallest eigenpairs by shift-invert Lanczos, or None.
+
+    Doubles the number of requested pairs until the largest one clears
+    lambda_2 by more than :data:`_EIGENSPACE_TOL`, so every lambda_2
+    vector the solve resolved is in hand.  Lanczos may resolve fewer
+    copies of a repeated eigenvalue than its multiplicity, but started
+    from ``probe`` its Krylov space holds the probe's projection onto
+    each eigenspace, so projecting the probe onto the copies it did
+    resolve gives the dense path's vector.  None means the caller must
+    solve densely: ARPACK did not converge, or the eigenspace reaches
+    the top of what a Lanczos solve may request.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    lap = _sparse_laplacian(graph, order)
+    k = 3
+    try:
+        while k < graph.n:
+            values, vectors = eigsh(
+                lap, k=k, sigma=_SHIFT, which="LM", v0=probe, tol=1e-12
+            )
+            ascending = np.argsort(values)
+            values, vectors = values[ascending], vectors[:, ascending]
+            if values[-1] - values[1] > _EIGENSPACE_TOL:
+                return values, vectors
+            k *= 2
+    except ArpackNoConvergence:
+        pass
+    _telemetry.count("spectral.eigen.fallbacks")
+    return None
+
+
+def _canonical_fiedler(graph: Graph, order: List) -> Tuple[float, np.ndarray]:
+    """``(lambda_2, Fiedler vector)`` that depend only on the graph.
+
+    The vector is the unit-norm projection of a fixed probe onto the
+    lambda_2 eigenspace (every eigenvector within
+    :data:`_EIGENSPACE_TOL` of lambda_2): independent of the solver, of
+    the basis it returned for a repeated eigenvalue, of the BLAS thread
+    count and of the vertex insertion order.  The probe also fixes the
+    sign.  Large graphs are solved sparsely (dense when that fails),
+    small ones densely; rows are in ``order``.
+    """
+    if np is None:
+        raise SolverError("spectral routines require numpy")
+    if graph.n < 2:
+        raise GraphError("spectral gap needs at least two vertices")
+    probe = _probe(_canonical_ranks(order))
+    bottom = None
+    if graph.n >= _SPARSE_MIN_N:
+        bottom = _sparse_bottom(graph, order, probe)
+    if bottom is None:
+        _telemetry.count("spectral.eigen.dense")
+        values, vectors = np.linalg.eigh(normalized_laplacian(graph, order))
+    else:
+        _telemetry.count("spectral.eigen.sparse")
+        values, vectors = bottom
+    # When lambda_2 = 0 this also takes in lambda_1's constant-embedding
+    # vector, which shifts a sweep's embedding without reordering it.
+    basis = vectors[:, np.abs(values - values[1]) <= _EIGENSPACE_TOL]
+    _telemetry.observe("spectral.eigenspace_dim", basis.shape[1])
+    vector = basis @ (basis.T @ probe)
+    return float(max(0.0, values[1])), vector / np.linalg.norm(vector)
 
 
 def exact_conductance(graph: Graph) -> Tuple[float, Set]:
@@ -134,24 +231,18 @@ def normalized_laplacian(graph: Graph, order: Optional[List] = None) -> np.ndarr
 
 def spectral_gap(graph: Graph) -> float:
     """lambda_2 of the normalized Laplacian (0 iff disconnected)."""
-    if graph.n < 2:
-        raise GraphError("spectral gap needs at least two vertices")
-    lap = normalized_laplacian(graph)
-    eigenvalues = _smallest_two(lap, vectors=False)
-    return float(max(0.0, eigenvalues[1]))
+    return lambda2_and_fiedler(graph)[0]
 
 
 def fiedler_vector(graph: Graph, order: Optional[List] = None) -> np.ndarray:
-    """Eigenvector of the normalized Laplacian for lambda_2."""
+    """Canonical unit eigenvector of the normalized Laplacian for lambda_2."""
     if order is None:
         order = graph.vertices()
-    lap = normalized_laplacian(graph, order)
-    _, vectors = _smallest_two(lap, vectors=True)
-    return vectors[:, 1]
+    return _canonical_fiedler(graph, order)[1]
 
 
 def lambda2_and_fiedler(graph: Graph) -> Tuple[float, np.ndarray]:
-    """``(lambda_2, Fiedler vector)`` from a single partial eigensolve.
+    """``(lambda_2, Fiedler vector)`` from a single eigensolve.
 
     The expander decomposition needs both the Cheeger certificate
     (``lambda_2 / 2``) and — when the certificate fails — the Fiedler
@@ -160,11 +251,7 @@ def lambda2_and_fiedler(graph: Graph) -> Tuple[float, np.ndarray]:
     the decomposition.  The vector is in ``graph.vertices()`` order,
     matching what :func:`sweep_cut` expects via its ``vector`` argument.
     """
-    if graph.n < 2:
-        raise GraphError("spectral gap needs at least two vertices")
-    lap = normalized_laplacian(graph)
-    values, vectors = _smallest_two(lap, vectors=True)
-    return float(max(0.0, values[1])), vectors[:, 1]
+    return _canonical_fiedler(graph, graph.vertices())
 
 
 def cheeger_bounds(graph: Graph) -> Tuple[float, float]:
@@ -195,8 +282,9 @@ def sweep_cut(
     """Best prefix cut of a vertex ordering by the (scaled) Fiedler vector.
 
     Sorts vertices by ``D^{-1/2} v`` (the degree-normalized Fiedler
-    embedding) and evaluates the conductance of every prefix, returning
-    the minimum.  Cheeger's proof guarantees the result is at most
+    embedding, rounded to a tolerance, ties by canonical vertex rank)
+    and evaluates the conductance of every prefix, returning the
+    minimum.  Cheeger's proof guarantees the result is at most
     ``sqrt(2 * lambda_2)``, i.e. within a quadratic factor of optimal.
 
     With ``balanced=True``, only prefixes whose sides both contain at
@@ -216,7 +304,11 @@ def sweep_cut(
         vector = fiedler_vector(graph, order)
     degrees = np.array([max(1, graph.degree(v)) for v in order], dtype=float)
     embedding = vector / np.sqrt(degrees)
-    ranked = [order[i] for i in np.argsort(embedding)]
+    # Rank by the embedding rounded well above solver noise, ties by
+    # canonical vertex rank, so equal entries never order arbitrarily.
+    scale = float(np.max(np.abs(embedding))) * _SWEEP_QUANTUM or 1.0
+    keys = (_canonical_ranks(order), np.rint(embedding / scale))
+    ranked = [order[i] for i in np.lexsort(keys)]
 
     total_volume = 2 * graph.m
     prefix: Set = set()

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +15,16 @@ from repro.generators import (
     grid_graph,
     hypercube_graph,
     path_graph,
+    toroidal_grid_graph,
 )
 from repro.graph import Graph
+from repro.obs.registry import telemetry_scope
 from repro.spectral import (
     cheeger_bounds,
+    conductance,
     conductance_lower_bound,
     exact_conductance,
+    fiedler_vector,
     normalized_laplacian,
     spectral_gap,
     sweep_cut,
@@ -61,8 +66,6 @@ class TestExactConductance:
 class TestSpectral:
     def test_laplacian_eigenvalue_range(self):
         g = grid_graph(4, 4)
-        import numpy as np
-
         eig = np.linalg.eigvalsh(normalized_laplacian(g))
         assert eig[0] == pytest.approx(0.0, abs=1e-8)
         assert eig[-1] <= 2.0 + 1e-8
@@ -100,6 +103,71 @@ class TestSpectral:
             lower = conductance_lower_bound(g)
             phi, _ = exact_conductance(g)
             assert lower <= phi + 1e-9
+
+    @pytest.mark.parametrize("min_n", [10**9, 2], ids=["dense", "sparse"])
+    def test_fiedler_vector_in_repeated_eigenspace(self, monkeypatch, min_n):
+        # lambda_2 = (1 - cos(2 pi / 16)) / 2 of the 16x16 torus has
+        # multiplicity 4; the vector is one unit member of that space.
+        monkeypatch.setattr(conductance, "_SPARSE_MIN_N", min_n)
+        g = toroidal_grid_graph(16, 16)
+        gap = spectral_gap(g)
+        vector = fiedler_vector(g)
+        assert gap == pytest.approx((1 - np.cos(2 * np.pi / 16)) / 2, abs=1e-12)
+        assert np.linalg.norm(vector) == pytest.approx(1.0)
+        residual = normalized_laplacian(g) @ vector - gap * vector
+        assert np.linalg.norm(residual) < 1e-9
+
+    def test_sparse_laplacian_matches_dense(self):
+        g = grid_graph(5, 6)
+        g.add_vertex("isolated")
+        order = g.vertices()
+        random.Random(2).shuffle(order)
+        sparse = conductance._sparse_laplacian(g, order).toarray()
+        assert np.array_equal(sparse, normalized_laplacian(g, order))
+
+    def test_fiedler_vector_ignores_insertion_order(self):
+        g = toroidal_grid_graph(16, 16)
+        edges = list(g.edges())
+        random.Random(3).shuffle(edges)
+        shuffled = Graph.from_edges((v, u) for u, v in edges)
+        expected = dict(zip(g.vertices(), fiedler_vector(g)))
+        got = dict(zip(shuffled.vertices(), fiedler_vector(shuffled)))
+        assert max(abs(expected[v] - got[v]) for v in expected) < 1e-9
+
+
+class TestSpectralTelemetry:
+    def test_counts_solver_paths_and_eigenspace_dimension(self):
+        with telemetry_scope() as registry:
+            fiedler_vector(toroidal_grid_graph(8, 8))
+            fiedler_vector(toroidal_grid_graph(16, 16))
+        assert registry.counters["spectral.eigen.dense"] == 1
+        assert registry.counters["spectral.eigen.sparse"] == 1
+        assert "spectral.eigen.fallbacks" not in registry.counters
+        dims = registry.histograms["spectral.eigenspace_dim"]
+        assert dims.count == 2
+        assert dims.max == 4
+
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
+        from scipy.sparse import linalg
+
+        g = toroidal_grid_graph(16, 16)
+        expected = fiedler_vector(g)
+
+        def no_convergence(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        with telemetry_scope() as registry:
+            vector = fiedler_vector(g)
+        assert registry.counters["spectral.eigen.fallbacks"] == 1
+        assert registry.counters["spectral.eigen.dense"] == 1
+        assert "spectral.eigen.sparse" not in registry.counters
+        assert np.abs(vector - expected).max() < 1e-9
+
+    def test_records_nothing_when_telemetry_off(self):
+        with telemetry_scope(record=False) as registry:
+            fiedler_vector(toroidal_grid_graph(16, 16))
+        assert not registry
 
 
 class TestSweepCut:

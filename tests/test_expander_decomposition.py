@@ -1,5 +1,12 @@
 """Tests for the (epsilon, phi) expander decomposition (Theorems 2.1/2.2)."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.decomposition import (
@@ -17,9 +24,55 @@ from repro.generators import (
     k_tree,
     random_tree,
     toroidal_grid_graph,
+    triangulated_grid_graph,
 )
 from repro.graph import Graph
-from repro.spectral import conductance_lower_bound
+from repro.obs.registry import telemetry_scope
+from repro.spectral import conductance, conductance_lower_bound
+
+#: Graphs whose clusters must not depend on how lambda_2 is solved.  The
+#: grid, torus and hypercube have a repeated lambda_2 (multiplicity 2, 4
+#: and 8), and phi is high enough that every one of them splits.
+DETERMINISM_GRAPHS = {
+    "grid": lambda: grid_graph(32, 32),
+    "torus": lambda: toroidal_grid_graph(32, 32),
+    "tri-grid": lambda: triangulated_grid_graph(32, 32),
+    "hypercube": lambda: hypercube_graph(8),
+    "delaunay": lambda: delaunay_planar_graph(512, seed=5),
+}
+
+
+def decomposition_signature(graph):
+    """Clusters and cut set of one decomposition, as order-free JSON data."""
+    dec = expander_decomposition(
+        graph, 0.4, phi=0.15, seed=0, enforce_budget=False
+    )
+    return {
+        "clusters": sorted(sorted(map(repr, c)) for c in dec.clusters),
+        "cut_edges": sorted(map(repr, dec.cut_edges)),
+    }
+
+
+def all_signatures():
+    return {
+        name: decomposition_signature(make())
+        for name, make in DETERMINISM_GRAPHS.items()
+    }
+
+
+def shuffled_copy(graph, seed):
+    """The same graph with vertices and edges inserted in a random order."""
+    rnd = random.Random(seed)
+    vertices = graph.vertices()
+    rnd.shuffle(vertices)
+    edges = list(graph.edges())
+    rnd.shuffle(edges)
+    copy = Graph()
+    for v in vertices:
+        copy.add_vertex(v)
+    for u, v in edges:
+        copy.add_edge(v, u)
+    return copy
 
 
 class TestBasics:
@@ -142,3 +195,52 @@ class TestHypercubeTightness:
         tight = expander_decomposition(g, 0.1, seed=0)
         loose = expander_decomposition(g, 0.4, seed=0)
         assert tight.theoretical_rounds() > loose.theoretical_rounds()
+
+
+class TestDeterminism:
+    """Clusters and cuts are a function of the graph alone."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return all_signatures()
+
+    @pytest.mark.parametrize(
+        "min_n, path",
+        [(sys.maxsize, "dense"), (2, "sparse")],
+        ids=["dense", "sparse"],
+    )
+    def test_same_clusters_from_either_solver(
+        self, reference, monkeypatch, min_n, path
+    ):
+        monkeypatch.setattr(conductance, "_SPARSE_MIN_N", min_n)
+        with telemetry_scope() as registry:
+            assert all_signatures() == reference
+        solves = registry.counters
+        other = "sparse" if path == "dense" else "dense"
+        assert solves[f"spectral.eigen.{path}"] > solves.get(
+            f"spectral.eigen.{other}", 0
+        )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_same_clusters_under_any_blas_thread_count(self, reference, threads):
+        root = str(Path(__file__).resolve().parents[1])
+        script = (
+            "import json; "
+            "from tests.test_expander_decomposition import all_signatures; "
+            "print(json.dumps(all_signatures()))"
+        )
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([root] + sys.path),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == reference
+
+    def test_same_clusters_for_any_insertion_order(self, reference):
+        for seed, (name, make) in enumerate(DETERMINISM_GRAPHS.items()):
+            shuffled = shuffled_copy(make(), seed)
+            assert decomposition_signature(shuffled) == reference[name], name

@@ -29,11 +29,15 @@ from repro.minors import is_outerplanar, is_planar, is_series_parallel
 
 def test_import_leaves_scipy_spatial_unloaded():
     # scipy.spatial is imported by delaunay_planar_graph on first use,
-    # not by ``import repro``: CLI start-up and every spawned worker
-    # would otherwise pay for it.
+    # and scipy.sparse by the sparse eigensolve, not by ``import
+    # repro``: CLI start-up and every spawned worker would otherwise
+    # pay for them.  The dense eigensolve is numpy's, so nothing loads
+    # scipy.linalg either.
     script = (
         "import sys, repro.cli; "
-        "assert 'scipy.spatial' not in sys.modules, 'eager scipy.spatial'"
+        "eager = [m for m in ('scipy.spatial', 'scipy.linalg', 'scipy.sparse')"
+        " if m in sys.modules]; "
+        "assert not eager, f'eager {eager}'"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
