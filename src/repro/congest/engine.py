@@ -291,7 +291,7 @@ class FastEngine:
         collect = self._collect
         reschedule = self._reschedule
         record_round = self.metrics.record_round
-        record_skipped = self.metrics.record_skipped
+        record_skipped = self._record_skipped
         trace = self.trace
         pending = self._pending
         pending_ids_discard = self._pending_ids.discard
@@ -354,6 +354,8 @@ class FastEngine:
                 record_round(per_edge, messages, bits, fcounts)
             live_before = self._live
             crashed_now = 0
+            if self._snapshot_interval is not None and self._snapshot_targets:
+                self._catch_up_local_snapshots(due, next_round)
             if crash_rounds is None:
                 stepping = due
             else:
@@ -471,6 +473,12 @@ class FastEngine:
             crashed=frozenset(self._verts[i] for i in self._crashed_ids),
         )
 
+    def _record_skipped(self, rounds: int) -> None:
+        self.metrics.record_skipped(rounds)
+        if self._registry is not None and rounds > 0:
+            # Telemetry only: metrics summaries keep their shape.
+            self._registry.count("congest.rounds_skipped", rounds)
+
     # -- crash recovery -------------------------------------------------
     def _process_rejoins(self, round_number: int) -> List[int]:
         """Revive crashed vertices whose scheduled rejoin round arrived.
@@ -534,7 +542,8 @@ class FastEngine:
 
     def _take_local_snapshots(self, stepped, round_number: int) -> None:
         """Snapshot rejoin-scheduled vertices every ``checkpoint_interval``
-        executed steps, so their later revival restores real state.
+        rounds of their round clock, so their later revival restores
+        real state.
 
         Runs after collection, so a snapshot never contains queued
         outbox messages and revival cannot re-send anything.
@@ -552,6 +561,30 @@ class FastEngine:
                         protocol=PICKLE_PROTOCOL,
                     )
                     last_rounds[i] = round_number
+
+    def _catch_up_local_snapshots(self, due, round_number: int) -> None:
+        """Take the snapshot an idle stretch skipped, before stepping.
+
+        A never-idle vertex snapshots at ``last + k * interval``; an
+        idle vertex is not stepped in those rounds, but its state is
+        frozen between steps, so the latest such round before
+        ``round_number`` is snapshotted from the pre-step state.  Runs
+        before crash filtering, which would mark the context halted.
+        """
+        interval = self._snapshot_interval
+        targets = self._snapshot_targets
+        last_rounds = self._snapshot_rounds
+        for i in due:
+            if i in targets:
+                last = last_rounds.get(i)
+                if last is not None and round_number - last > interval:
+                    self._snapshots[i] = pickle.dumps(
+                        (self._algorithms[i], self._contexts[i]),
+                        protocol=PICKLE_PROTOCOL,
+                    )
+                    last_rounds[i] = (
+                        round_number - 1 - (round_number - 1 - last) % interval
+                    )
 
     # -- checkpoint / restore -------------------------------------------
     def capture_checkpoint(self) -> SimulationCheckpoint:
@@ -812,16 +845,17 @@ class FastEngine:
         crash_rounds = self._crash_rounds
         for i in stepped:
             ctx = contexts[i]
-            runnable_discard(i)
-            wake[i] = None
             if ctx._halted:
+                runnable_discard(i)
+                wake[i] = None
                 self._live -= 1
                 continue
             if default_hints[i]:
-                runnable_add(i)
+                # Never idle: it is already runnable and has no wakeup.
                 continue
             algo = algorithms[i]
             if algo.is_idle(ctx):
+                runnable_discard(i)
                 w = algo.next_wakeup(ctx)
                 if crash_rounds is not None:
                     # Clamp the wakeup so a scheduled crash is noticed
@@ -833,11 +867,16 @@ class FastEngine:
                         and (w is None or cr < w)
                     ):
                         w = cr
-                if w is not None and w > current_round:
+                if w is None or w <= current_round:
+                    wake[i] = None
+                elif wake[i] != w:
+                    # An unchanged wakeup keeps its live heap entry
+                    # instead of leaving a stale duplicate behind.
                     wake[i] = w
                     heappush(heap, (w, i))
             else:
                 runnable_add(i)
+                wake[i] = None
 
     def _deliver_delayed(self, round_number: int) -> None:
         """Release withheld payloads whose delivery round has arrived.

@@ -214,11 +214,11 @@ class ReferenceEngine:
                     break  # nothing will ever happen again
                 target = min(future)
                 if target > max_rounds:
-                    self.metrics.record_skipped(max_rounds - self._round)
+                    self._record_skipped(max_rounds - self._round)
                     self._round = max_rounds
                     break
                 skipped = target - next_round
-                self.metrics.record_skipped(skipped)
+                self._record_skipped(skipped)
                 next_round = target
                 if self._delay_queue:
                     self._deliver_delayed(next_round)
@@ -249,6 +249,8 @@ class ReferenceEngine:
             )
             stepped: List[Any] = []
             crashed_now = 0
+            if self._snapshot_interval is not None and self._snapshot_targets:
+                self._catch_up_local_snapshots(due, next_round)
             for v in due:
                 ctx = self._contexts[v]
                 if ctx.halted:
@@ -334,6 +336,12 @@ class ReferenceEngine:
             crashed=frozenset(self._crashed),
         )
 
+    def _record_skipped(self, rounds: int) -> None:
+        self.metrics.record_skipped(rounds)
+        if self._registry is not None and rounds > 0:
+            # Telemetry only (mirrors the fast engine).
+            self._registry.count("congest.rounds_skipped", rounds)
+
     # -- crash recovery -------------------------------------------------
     def _process_rejoins(self, round_number: int) -> List[Any]:
         """Revive crashed vertices whose scheduled rejoin round arrived.
@@ -388,8 +396,8 @@ class ReferenceEngine:
     def _take_local_snapshots(self, stepped: List[Any],
                               round_number: int) -> None:
         """Snapshot rejoin-scheduled vertices every ``checkpoint_interval``
-        executed steps; runs after collection so snapshots never contain
-        queued outbox messages (mirrors the fast engine).
+        rounds of their round clock; runs after collection so snapshots
+        never contain queued outbox messages (mirrors the fast engine).
         """
         interval = self._snapshot_interval
         targets = self._snapshot_targets
@@ -403,6 +411,28 @@ class ReferenceEngine:
                         protocol=PICKLE_PROTOCOL,
                     )
                     last_rounds[v] = round_number
+
+    def _catch_up_local_snapshots(self, due: List[Any],
+                                  round_number: int) -> None:
+        """Before stepping (and crash filtering), snapshot a due target
+        at the latest ``last + k * interval`` round its idle stretch
+        skipped; its state has been frozen since its last step
+        (mirrors the fast engine).
+        """
+        interval = self._snapshot_interval
+        targets = self._snapshot_targets
+        last_rounds = self._snapshot_rounds
+        for v in due:
+            if v in targets:
+                last = last_rounds.get(v)
+                if last is not None and round_number - last > interval:
+                    self._snapshots[v] = pickle.dumps(
+                        (self._algorithms[v], self._contexts[v]),
+                        protocol=PICKLE_PROTOCOL,
+                    )
+                    last_rounds[v] = (
+                        round_number - 1 - (round_number - 1 - last) % interval
+                    )
 
     # -- checkpoint / restore -------------------------------------------
     def capture_checkpoint(self) -> SimulationCheckpoint:

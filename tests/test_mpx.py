@@ -1,11 +1,22 @@
 """Tests for the distributed MPX exponential-shift LDD."""
 
+import contextlib
 import math
 import statistics
 
 import pytest
 
+from repro.congest import (
+    FaultPlan,
+    TraceSession,
+    VertexAlgorithm,
+    use_engine,
+    use_faults,
+)
+from repro.congest import algorithm as algorithm_module
+from repro.decomposition import mpx as mpx_module
 from repro.decomposition import mpx_ldd, verify_ldd
+from repro.decomposition.mpx import MPXClustering
 from repro.errors import DecompositionError
 from repro.generators import (
     cycle_graph,
@@ -14,6 +25,7 @@ from repro.generators import (
 )
 from tests.conftest import delaunay_or_skip as delaunay_planar_graph
 from repro.graph import Graph
+from repro.obs.registry import telemetry_scope
 
 
 class TestMPX:
@@ -90,3 +102,110 @@ class TestMPX:
         coarse, _ = mpx_ldd(g, 0.3, seed=10, beta=0.05)
         fine, _ = mpx_ldd(g, 0.3, seed=10, beta=0.8)
         assert len(fine.clusters) >= len(coarse.clusters)
+
+
+# ----------------------------------------------------------------------
+# Scheduling hints are invisible: MPX vertices sleep between
+# improvements, yet every output and metric matches a never-idle run.
+# ----------------------------------------------------------------------
+
+
+class _NeverIdle(MPXClustering):
+    """MPX with the base-class hints restored: steps every round."""
+
+    is_idle = VertexAlgorithm.is_idle
+    next_wakeup = VertexAlgorithm.next_wakeup
+
+
+def _hint_plans():
+    # Crashes land while the shifted-BFS wave is still moving and
+    # rejoins come after it has settled, so a snapshot taken at the
+    # wrong round restores a different best key.
+    crashes = tuple((v, 4 + 3 * k) for k, v in enumerate(range(7, 300, 41)))
+    rejoins = tuple((v, r + 11) for v, r in crashes)
+    plans = {
+        "none": None,
+        "crash": FaultPlan(seed=5, crashes=crashes),
+        "delay": FaultPlan(seed=5, delay=0.2),
+        "drop": FaultPlan(seed=5, drop=0.1),
+    }
+    for interval in (1, 2, 3, 5):
+        plans[f"rejoin-{interval}"] = FaultPlan(
+            seed=5,
+            crashes=crashes,
+            rejoins=rejoins,
+            checkpoint_interval=interval,
+        )
+    return plans
+
+
+_HINT_PLANS = _hint_plans()
+_KERNEL_PLANS = ("none", "crash")  # the plans under which kernels engage
+
+#: (plan, engine, kernels, batched delivery)
+_HINT_CASES = [
+    (plan, "fast", kernels, batched)
+    for plan in _KERNEL_PLANS
+    for kernels, batched in ((True, True), (True, False), (False, False))
+] + [
+    (plan, "fast", True, True)
+    for plan in _HINT_PLANS
+    if plan not in _KERNEL_PLANS
+] + [(plan, "reference", False, False) for plan in _HINT_PLANS]
+
+
+def _run_mpx(monkeypatch, cls, graph, plan, engine, kernels, batched):
+    faults = use_faults(plan) if plan is not None else contextlib.nullcontext()
+    with monkeypatch.context() as mp:
+        mp.setattr(mpx_module, "MPXClustering", cls)
+        mp.setattr(algorithm_module, "_kernels_enabled", kernels)
+        mp.setattr(algorithm_module, "_batch_delivery_enabled", batched)
+        with use_engine(engine), faults, TraceSession() as session:
+            with telemetry_scope() as registry:
+                _, sim = mpx_ldd(graph, 0.3, seed=11)
+    return sim, session.recorders[0], registry
+
+
+@pytest.mark.parametrize(
+    "plan, engine, kernels, batched",
+    _HINT_CASES,
+    ids=[
+        f"{p}-{e}" + ("-kernel" if k else "") + ("-batched" if b else "")
+        for p, e, k, b in _HINT_CASES
+    ],
+)
+def test_mpx_hints_are_invisible(monkeypatch, plan, engine, kernels, batched):
+    graph = delaunay_planar_graph(300, seed=3)
+    hinted, trace, registry = _run_mpx(
+        monkeypatch, MPXClustering, graph, _HINT_PLANS[plan], engine,
+        kernels, batched,
+    )
+    never_idle, _, _ = _run_mpx(
+        monkeypatch, _NeverIdle, graph, _HINT_PLANS[plan], engine,
+        False, False,
+    )
+    assert hinted.outputs == never_idle.outputs
+    assert hinted.crashed == never_idle.crashed
+    assert hinted.metrics.summary() == never_idle.metrics.summary()
+    engaged = registry.counters.get("congest.kernel.engaged", 0)
+    assert engaged == (1 if engine == "fast" and kernels
+                       and plan in _KERNEL_PLANS else 0)
+    if plan == "none":
+        # Quiet rounds are fast-forwarded, not executed.
+        assert len(trace.rounds) < hinted.metrics.rounds
+    if plan.startswith("rejoin"):
+        assert hinted.metrics.vertices_rejoined > 0
+
+
+def test_rounds_skipped_telemetry_equal_across_engines():
+    graph = grid_graph(12, 12)
+    published = []
+    for engine in ("fast", "reference"):
+        with use_engine(engine), telemetry_scope() as registry:
+            _, sim = mpx_ldd(graph, 0.3, seed=4)
+        skipped = registry.counters.get("congest.rounds_skipped", 0)
+        assert 0 < skipped < sim.metrics.rounds
+        assert "rounds_skipped" not in sim.metrics.summary()
+        assert "rounds_skipped" not in sim.metrics.to_dict()
+        published.append(skipped)
+    assert published[0] == published[1]
