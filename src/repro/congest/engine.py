@@ -16,37 +16,26 @@ outputs and metrics bit-for-bit), but built for speed:
   round can have queued messages, so delivery drains exactly those
   outboxes instead of scanning all ``n`` vertices per round.
 
-The engine shares the vertex-facing API (:class:`VertexAlgorithm`,
-:class:`VertexContext`) and the accounting policy: traffic is recorded
-against the round it is delivered into, so ``metrics.rounds`` equals
-the number of rounds executed.
+The round loop — due set, stepping, collection, rescheduling — is this
+engine's own.  Construction, crash recovery, delayed delivery and
+checkpoints are the engine-neutral bookkeeping of
+:mod:`repro.congest.bookkeeping`, shared with the reference engine;
+this engine maps its integer ids to vertices for it.  Traffic is
+recorded against the round it is delivered into, so ``metrics.rounds``
+equals the number of rounds executed.
 """
 
 from __future__ import annotations
 
-import pickle
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..errors import CheckpointError, MessageTooLargeError, ProtocolError
-from ..graph import Graph, canonical_vertex_order
-from ..rng import ensure_rng
-from .algorithm import VertexAlgorithm, VertexContext
-from .checkpoint import (
-    PICKLE_PROTOCOL,
-    SimulationCheckpoint,
-    graph_fingerprint,
-    verify_restore_target,
-)
-from .faults import (
-    CORRUPT,
-    DELIVER,
-    DROP,
-    DUPLICATE,
-    NO_FAULTS,
-    FaultInjector,
-    pad_fault_counts,
-)
+from ..errors import MessageTooLargeError, ProtocolError
+from ..graph import Graph
+from .algorithm import VertexAlgorithm
+from .bookkeeping import _NO_TRAFFIC, EngineBookkeeping
+from .checkpoint import SimulationCheckpoint
+from .faults import CORRUPT, DROP, DUPLICATE, NO_FAULTS, FaultInjector
 from .message import (
     _BOOL_BITS,
     _FLOAT_TOTAL,
@@ -55,54 +44,13 @@ from .message import (
     MessageBudget,
     message_bits,
 )
-from .metrics import CongestMetrics
-from .trace import RoundTrace, TraceRecorder, detail_event_sort_key
-from ..obs import registry as _telemetry
-
-#: Sentinel for "no traffic in flight": (per-edge counts, messages,
-#: bits, message-size histogram, per-round fault counters).
-_NO_TRAFFIC: Tuple[Dict, int, int, Dict, Tuple[int, ...]] = (
-    {}, 0, 0, {}, NO_FAULTS
-)
+from .trace import TraceRecorder, detail_event_sort_key
 
 #: Private sentinel no user payload can be identical to.
 _UNSET = object()
 
 
-def build_vertex_state(
-    graph: Graph,
-    algorithm_factory: Callable[[Any], VertexAlgorithm],
-    seed,
-) -> Tuple[List[Any], List[VertexContext], List[VertexAlgorithm]]:
-    """Construct per-vertex contexts and algorithms in canonical order.
-
-    Shared by both engines so that the per-vertex RNG streams (derived
-    from the root seed in canonical vertex order) are identical no
-    matter which engine runs the algorithm.
-    """
-    root_rng = ensure_rng(seed)
-    getrandbits = root_rng.getrandbits
-    order = canonical_vertex_order(graph.vertices())
-    n = graph.n
-    adj = graph._adj
-    contexts: List[VertexContext] = []
-    algorithms: List[VertexAlgorithm] = []
-    for v in order:
-        row = adj[v]
-        neighbors = canonical_vertex_order(row)
-        ctx = VertexContext(
-            vertex=v,
-            neighbors=neighbors,
-            edge_weights={u: row[u] for u in neighbors},
-            n=n,
-            rng_seed=getrandbits(64),
-        )
-        contexts.append(ctx)
-        algorithms.append(algorithm_factory(v))
-    return order, contexts, algorithms
-
-
-class FastEngine:
+class FastEngine(EngineBookkeeping):
     """Integer-indexed scheduler; see the module docstring."""
 
     name = "fast"
@@ -118,32 +66,18 @@ class FastEngine:
         trace: Optional[TraceRecorder] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
-        self.graph = graph
-        self.budget = budget if budget is not None else MessageBudget(graph.n)
-        self.strict = strict
-        self.capacity = capacity
-        self.metrics = CongestMetrics()
-        self.trace = trace
-        self.faults = faults
-        # Kept for crash-recovery: a rejoining vertex with no local
-        # snapshot re-initializes through the same factory.
-        self._factory = algorithm_factory
-
-        order, contexts, algorithms = build_vertex_state(
-            graph, algorithm_factory, seed
+        super().__init__(
+            graph, algorithm_factory, budget, strict, capacity, seed, trace,
+            faults,
         )
-        self._verts: List[Any] = order
-        self._index: Dict[Any, int] = {v: i for i, v in enumerate(order)}
-        self._contexts = contexts
-        self._algorithms = algorithms
+        n = self._n
+        self._keys = range(n)
         # Algorithms that keep the base-class scheduling hints are never
         # idle; skip the virtual dispatch for them on the hot path.
         self._default_hints = [
-            type(a).is_idle is VertexAlgorithm.is_idle for a in algorithms
+            type(a).is_idle is VertexAlgorithm.is_idle
+            for a in self._algorithms
         ]
-        n = len(order)
-        self._n = n
-
         # Next-round inboxes: vertex id -> {sender vertex: [payloads]}.
         self._pending: List[Optional[Dict[Any, List[Any]]]] = [None] * n
         self._pending_ids: Set[int] = set()
@@ -153,67 +87,7 @@ class FastEngine:
         # iff self._wake_round[i] == w.
         self._heap: List[Tuple[int, int]] = []
         self._wake_round: List[Optional[int]] = [None] * n
-        self._round = 0
         self._live = n
-        # Telemetry is sampled once at construction: a simulator built
-        # inside an enabled scope records into that scope's registry for
-        # its whole run; outside one, the hot path stays branch-free.
-        self._registry = (
-            _telemetry.current_registry() if _telemetry.enabled() else None
-        )
-        # The per-size message histogram is only worth building when
-        # something will consume it (a trace recorder or telemetry).
-        self._want_bits_hist = trace is not None or self._registry is not None
-        # Per-message provenance events (trace schema 5): opt-in via
-        # TraceRecorder(detail=True); off by default so the hot path —
-        # and the emitted JSONL — stay exactly the v4 shape.
-        self._want_detail = trace is not None and getattr(
-            trace, "detail", False
-        )
-        # Detail events buffered alongside _inflight: collected at the
-        # end of round r, attributed to the round they deliver into.
-        self._inflight_events: List[Dict[str, Any]] = []
-        # Traffic collected at the end of the previous round, awaiting
-        # delivery (and metric attribution) at the next executed round.
-        self._inflight: Tuple[Dict, int, int, Dict, Tuple[int, ...]] = (
-            _NO_TRAFFIC
-        )
-        # Payloads the fault channel withheld, keyed by release round:
-        # release -> [(send round, sender, receiver, payload)].  Drained
-        # at the top of each executed round; vertex-keyed (never by
-        # engine index) so checkpoints stay engine-neutral.
-        self._delay_queue: Dict[int, List[Tuple[int, Any, Any, Any]]] = {}
-        # Crash schedule (per vertex id), or None when the plan has no
-        # crashes so the hot path can skip the lookup entirely.
-        if faults is not None and faults.plan.crashes:
-            self._crash_rounds: Optional[List[Optional[int]]] = [
-                faults.crash_round(v) for v in order
-            ]
-            # Crash-recovery schedule: (rejoin round, vertex id), sorted
-            # by round with canonical order breaking ties (the stable
-            # sort preserves the enumerate order within equal rounds).
-            rejoins = [
-                (faults.rejoin_round(v), i)
-                for i, v in enumerate(order)
-                if faults.rejoin_round(v) is not None
-            ]
-            rejoins.sort(key=lambda entry: entry[0])
-            self._rejoin_queue: List[Tuple[int, int]] = rejoins
-            self._snapshot_interval = faults.checkpoint_interval
-        else:
-            self._crash_rounds = None
-            self._rejoin_queue = []
-            self._snapshot_interval = None
-        self._crashed_ids: Set[int] = set()
-        # Local crash-recovery snapshots: only vertices still scheduled
-        # to rejoin are worth snapshotting.
-        self._snapshot_targets: Set[int] = {i for _, i in self._rejoin_queue}
-        self._snapshots: Dict[int, bytes] = {}
-        self._snapshot_rounds: Dict[int, int] = {}
-        # Flipped by run() after the initialization pass; a restored
-        # post-init checkpoint carries True, so run() then skips
-        # initialization and continues mid-simulation.
-        self._initialized = False
         # Batched delivery (see repro.congest.kernels.SendPlan): a
         # kernel that emits send plans parks the current round's plan
         # in _send_plan for _collect to charge vectorized; the charged
@@ -229,12 +103,86 @@ class FastEngine:
 
         self._kernel = maybe_build_kernel(self)
 
-    # ------------------------------------------------------------------
-    @property
-    def rounds_executed(self) -> int:
-        """Final value of the synchronous round counter."""
-        return self._round
+    # -- key mapping and scheduler hooks (see EngineBookkeeping) ---------
+    def _vertex(self, i: int) -> Any:
+        return self._verts[i]
 
+    def _key(self, v: Any) -> int:
+        return self._index[v]
+
+    def _by_key(self, values: List[Any]) -> List[Any]:
+        return values
+
+    def _edge_vertices(self, edge: int) -> Tuple[Any, Any]:
+        return self._verts[edge // self._n], self._verts[edge % self._n]
+
+    def _edge_key(self, sender: Any, receiver: Any) -> int:
+        return self._index[sender] * self._n + self._index[receiver]
+
+    def _enqueue(self, i: int, sender: Any, payload: Any) -> None:
+        box = self._pending[i]
+        if box is None:
+            self._pending[i] = {sender: [payload]}
+            self._pending_ids.add(i)
+        else:
+            box.setdefault(sender, []).append(payload)
+
+    def _on_revive(self, i: int) -> None:
+        self._default_hints[i] = (
+            type(self._algorithms[i]).is_idle is VertexAlgorithm.is_idle
+        )
+        if self._pending[i] is not None:
+            self._pending[i] = None
+            self._pending_ids.discard(i)
+        self._wake_round[i] = None
+        if not self._contexts[i]._halted:
+            self._runnable.add(i)
+            self._live += 1
+
+    def _wakeup_items(self):
+        return ((i, w) for i, w in enumerate(self._wake_round) if w is not None)
+
+    def _restore_schedule(self, pending, runnable, wakeups) -> None:
+        n = self._n
+        self._default_hints = [
+            type(a).is_idle is VertexAlgorithm.is_idle
+            for a in self._algorithms
+        ]
+        self._pending = [None] * n
+        for i, box in pending.items():
+            self._pending[i] = box
+        self._pending_ids = set(pending)
+        self._runnable = runnable
+        self._heap = []
+        self._wake_round = [None] * n
+        for i, w in wakeups.items():
+            self._wake_round[i] = w
+            heappush(self._heap, (w, i))
+        self._live = sum(1 for ctx in self._contexts if not ctx._halted)
+        # Restored pending state is always dictionary-shaped (capture
+        # materializes); discard any plan from the pre-restore life.
+        self._send_plan = None
+        self._lazy_plan = None
+        # Rebuild the kernel over the restored scalar state.  resume=True
+        # makes its first round replay the restored inbox dictionaries
+        # (the previous round's sends are not in any column yet).
+        from .kernels import maybe_build_kernel
+
+        self._kernel = maybe_build_kernel(self, resume=True)
+
+    def capture_checkpoint(self) -> SimulationCheckpoint:
+        if self._kernel is not None:
+            # Columnar state becomes scalar truth before pickling, so
+            # the envelope stays engine- and kernel-neutral.
+            self._kernel.sync()
+        if self._lazy_plan is not None:
+            # Checkpoints serialize pending inboxes as real
+            # dictionaries; a lazily-delivered plan must become one
+            # first so restores stay bit-identical across modes.
+            self._materialize_lazy()
+        return super().capture_checkpoint()
+
+    # ------------------------------------------------------------------
     def run(
         self,
         max_rounds: int = 10_000,
@@ -258,25 +206,12 @@ class FastEngine:
         kernel = self._kernel
         if not self._initialized:
             self._initialized = True
-            init_crashed = 0
-            live_init: List[int] = []
-            for i in range(self._n):
-                if crash_rounds is not None:
-                    cr = crash_rounds[i]
-                    if cr is not None and cr <= 0:
-                        # Fail-stopped before round 0: never initializes.
-                        contexts[i]._halted = True
-                        self._crashed_ids.add(i)
-                        init_crashed += 1
-                        continue
-                live_init.append(i)
+            live_init = self._initial_cohort()
             if kernel is not None:
                 kernel.initialize(live_init)
             else:
                 for i in live_init:
                     algorithms[i].initialize(contexts[i])
-            if init_crashed:
-                self.metrics.record_crashed(init_crashed)
             if self._registry is not None:
                 with self._registry.span("congest.collect"):
                     self._collect(range(self._n))
@@ -371,12 +306,12 @@ class FastEngine:
                     self._materialize_lazy()
                 stepping = []
                 for i in due:
-                    cr = crash_rounds[i]
+                    cr = crash_rounds.get(i)
                     if cr is not None and next_round >= cr:
                         ctx = contexts[i]
                         ctx._halted = True
                         ctx._output = None
-                        self._crashed_ids.add(i)
+                        self._crashed.add(i)
                         crashed_now += 1
                         if pending[i] is not None:
                             pending[i] = None
@@ -470,335 +405,8 @@ class FastEngine:
             outputs=outputs,
             metrics=self.metrics,
             halted=self._live == 0,
-            crashed=frozenset(self._verts[i] for i in self._crashed_ids),
+            crashed=frozenset(self._verts[i] for i in self._crashed),
         )
-
-    def _record_skipped(self, rounds: int) -> None:
-        self.metrics.record_skipped(rounds)
-        if self._registry is not None and rounds > 0:
-            # Telemetry only: metrics summaries keep their shape.
-            self._registry.count("congest.rounds_skipped", rounds)
-
-    # -- crash recovery -------------------------------------------------
-    def _process_rejoins(self, round_number: int) -> List[int]:
-        """Revive crashed vertices whose scheduled rejoin round arrived.
-
-        A revived vertex restores from its most recent local snapshot
-        (see :meth:`_take_local_snapshots`) or, when none was taken,
-        re-initializes from scratch with its original RNG seed.  Mail
-        queued while it was dead is lost either way; the vertex steps
-        again from the next round on.  A rejoin scheduled for a vertex
-        that halted normally before its crash round fired is dropped —
-        there is nothing to recover.
-        """
-        queue = self._rejoin_queue
-        contexts = self._contexts
-        algorithms = self._algorithms
-        revived: List[int] = []
-        while queue and queue[0][0] <= round_number:
-            _, i = queue.pop(0)
-            self._snapshot_targets.discard(i)
-            if i not in self._crashed_ids:
-                continue
-            self._crashed_ids.discard(i)
-            if self._crash_rounds is not None:
-                # The crash has been consumed; without this the vertex
-                # would fail-stop again on its next step.
-                self._crash_rounds[i] = None
-            snapshot = self._snapshots.pop(i, None)
-            self._snapshot_rounds.pop(i, None)
-            if snapshot is not None:
-                algorithm, ctx = pickle.loads(snapshot)
-                ctx.round_number = round_number
-            else:
-                old = contexts[i]
-                ctx = VertexContext(
-                    vertex=old.vertex,
-                    neighbors=old.neighbors,
-                    edge_weights=dict(old.edge_weights),
-                    n=old.n,
-                    rng_seed=old._rng_seed,
-                )
-                ctx.round_number = round_number
-                algorithm = self._factory(old.vertex)
-            contexts[i] = ctx
-            algorithms[i] = algorithm
-            self._default_hints[i] = (
-                type(algorithm).is_idle is VertexAlgorithm.is_idle
-            )
-            if snapshot is None:
-                algorithm.initialize(ctx)
-            if self._pending[i] is not None:
-                self._pending[i] = None
-                self._pending_ids.discard(i)
-            self._wake_round[i] = None
-            if not ctx._halted:
-                self._runnable.add(i)
-                self._live += 1
-            revived.append(i)
-        if revived:
-            self.metrics.record_rejoined(len(revived))
-        return revived
-
-    def _take_local_snapshots(self, stepped, round_number: int) -> None:
-        """Snapshot rejoin-scheduled vertices every ``checkpoint_interval``
-        rounds of their round clock, so their later revival restores
-        real state.
-
-        Runs after collection, so a snapshot never contains queued
-        outbox messages and revival cannot re-send anything.
-        """
-        interval = self._snapshot_interval
-        targets = self._snapshot_targets
-        contexts = self._contexts
-        last_rounds = self._snapshot_rounds
-        for i in stepped:
-            if i in targets and not contexts[i]._halted:
-                last = last_rounds.get(i)
-                if last is None or round_number - last >= interval:
-                    self._snapshots[i] = pickle.dumps(
-                        (self._algorithms[i], contexts[i]),
-                        protocol=PICKLE_PROTOCOL,
-                    )
-                    last_rounds[i] = round_number
-
-    def _catch_up_local_snapshots(self, due, round_number: int) -> None:
-        """Take the snapshot an idle stretch skipped, before stepping.
-
-        A never-idle vertex snapshots at ``last + k * interval``; an
-        idle vertex is not stepped in those rounds, but its state is
-        frozen between steps, so the latest such round before
-        ``round_number`` is snapshotted from the pre-step state.  Runs
-        before crash filtering, which would mark the context halted.
-        """
-        interval = self._snapshot_interval
-        targets = self._snapshot_targets
-        last_rounds = self._snapshot_rounds
-        for i in due:
-            if i in targets:
-                last = last_rounds.get(i)
-                if last is not None and round_number - last > interval:
-                    self._snapshots[i] = pickle.dumps(
-                        (self._algorithms[i], self._contexts[i]),
-                        protocol=PICKLE_PROTOCOL,
-                    )
-                    last_rounds[i] = (
-                        round_number - 1 - (round_number - 1 - last) % interval
-                    )
-
-    # -- checkpoint / restore -------------------------------------------
-    def capture_checkpoint(self) -> SimulationCheckpoint:
-        """Freeze the simulation at the current round boundary.
-
-        The state blob is keyed by vertex (never by engine-internal
-        index), normalized so both engines capture identical logical
-        state: inboxes, wakeups, and runnable flags of halted vertices
-        are dead weight the engines handle lazily and are excluded.
-        """
-        if self._kernel is not None:
-            # Columnar state becomes scalar truth before pickling, so
-            # the envelope stays engine- and kernel-neutral.
-            self._kernel.sync()
-        if self._lazy_plan is not None:
-            # Checkpoints serialize pending inboxes as real
-            # dictionaries; a lazily-delivered plan must become one
-            # first so restores stay bit-identical across modes.
-            self._materialize_lazy()
-        contexts = self._contexts
-        verts = self._verts
-        n = self._n
-        per_edge, messages, bits, bits_hist, fcounts = self._inflight
-        state = {
-            "contexts": {verts[i]: contexts[i] for i in range(n)},
-            "algorithms": {
-                verts[i]: self._algorithms[i] for i in range(n)
-            },
-            "pending": {
-                verts[i]: self._pending[i]
-                for i in range(n)
-                if self._pending[i] and not contexts[i]._halted
-            },
-            "runnable": {
-                verts[i] for i in self._runnable if not contexts[i]._halted
-            },
-            "wakeups": {
-                verts[i]: w
-                for i, w in enumerate(self._wake_round)
-                if w is not None and not contexts[i]._halted
-            },
-            "inflight": {
-                "per_edge": [
-                    (verts[key // n], verts[key % n], count)
-                    for key, count in per_edge.items()
-                ],
-                "messages": messages,
-                "bits": bits,
-                "bits_hist": dict(bits_hist),
-                "fcounts": tuple(fcounts),
-            },
-            # Withheld payloads still in flight, flattened in release
-            # order (entries are already vertex-keyed in both engines;
-            # detail-mode entries carry a trailing sequence number).
-            "delayed": [
-                (release,) + tuple(entry)
-                for release in sorted(self._delay_queue)
-                for entry in self._delay_queue[release]
-            ],
-            # Detail events buffered for the next executed round
-            # (empty unless the trace recorder asked for detail).
-            "inflight_events": [dict(e) for e in self._inflight_events],
-            "crashed": {verts[i] for i in self._crashed_ids},
-            "crash_rounds": (
-                None
-                if self._crash_rounds is None
-                else {
-                    verts[i]: cr
-                    for i, cr in enumerate(self._crash_rounds)
-                    if cr is not None
-                }
-            ),
-            "rejoin_queue": [(r, verts[i]) for r, i in self._rejoin_queue],
-            "snapshots": {
-                verts[i]: blob for i, blob in self._snapshots.items()
-            },
-            "snapshot_rounds": {
-                verts[i]: r for i, r in self._snapshot_rounds.items()
-            },
-            "initialized": self._initialized,
-        }
-        if self._registry is not None:
-            self._registry.count("congest.checkpoints_captured")
-        return SimulationCheckpoint(
-            round=self._round,
-            n=n,
-            engine=self.name,
-            graph=graph_fingerprint(self.graph),
-            strict=self.strict,
-            capacity=self.capacity,
-            budget_n=self.budget.n,
-            budget_words=self.budget.words,
-            fault_plan=(
-                self.faults.plan.to_dict() if self.faults is not None else None
-            ),
-            metrics=self.metrics.to_dict(include_per_round=True),
-            state=pickle.dumps(state, protocol=PICKLE_PROTOCOL),
-            trace_rounds=(
-                [r.to_dict() for r in self.trace.rounds]
-                if self.trace is not None
-                else None
-            ),
-        )
-
-    def restore_checkpoint(self, checkpoint: SimulationCheckpoint) -> None:
-        """Replace this engine's state with a captured checkpoint.
-
-        The engine must have been constructed over the same graph and
-        configuration the checkpoint came from (mismatches raise
-        :class:`~repro.errors.CheckpointError`); construction-time
-        vertex state is discarded.  ``run()`` then continues from the
-        checkpointed round.
-        """
-        verify_restore_target(self, checkpoint, self._n)
-        try:
-            state = pickle.loads(checkpoint.state)
-        except Exception as exc:
-            raise CheckpointError(
-                f"cannot unpickle checkpoint state: {exc}"
-            ) from exc
-        index = self._index
-        verts = self._verts
-        n = self._n
-        try:
-            contexts = state["contexts"]
-            algorithms = state["algorithms"]
-            self._contexts = [contexts[v] for v in verts]
-            self._algorithms = [algorithms[v] for v in verts]
-            self._default_hints = [
-                type(a).is_idle is VertexAlgorithm.is_idle
-                for a in self._algorithms
-            ]
-            self._pending = [None] * n
-            self._pending_ids = set()
-            for v, box in state["pending"].items():
-                i = index[v]
-                self._pending[i] = box
-                self._pending_ids.add(i)
-            self._runnable = {index[v] for v in state["runnable"]}
-            self._heap = []
-            self._wake_round = [None] * n
-            for v, w in state["wakeups"].items():
-                i = index[v]
-                self._wake_round[i] = w
-                heappush(self._heap, (w, i))
-            inflight = state["inflight"]
-            self._inflight = (
-                {
-                    index[u] * n + index[w]: count
-                    for u, w, count in inflight["per_edge"]
-                },
-                inflight["messages"],
-                inflight["bits"],
-                dict(inflight["bits_hist"]),
-                pad_fault_counts(inflight["fcounts"]),
-            )
-            self._delay_queue = {}
-            for entry in state.get("delayed", ()):
-                # entry = (release, send_round, sender, receiver,
-                # payload[, seq]); older checkpoints lack the trailing
-                # detail-mode sequence number.
-                self._delay_queue.setdefault(entry[0], []).append(
-                    tuple(entry[1:])
-                )
-            self._inflight_events = [
-                dict(e) for e in state.get("inflight_events", ())
-            ]
-            self._crashed_ids = {index[v] for v in state["crashed"]}
-            crash_rounds = state["crash_rounds"]
-            if crash_rounds is None:
-                self._crash_rounds = None
-            else:
-                rebuilt: List[Optional[int]] = [None] * n
-                for v, cr in crash_rounds.items():
-                    rebuilt[index[v]] = cr
-                self._crash_rounds = rebuilt
-            self._rejoin_queue = [
-                (r, index[v]) for r, v in state["rejoin_queue"]
-            ]
-            self._snapshot_targets = {i for _, i in self._rejoin_queue}
-            self._snapshots = {
-                index[v]: blob for v, blob in state["snapshots"].items()
-            }
-            self._snapshot_rounds = {
-                index[v]: r for v, r in state["snapshot_rounds"].items()
-            }
-        except KeyError as exc:
-            raise CheckpointError(
-                f"checkpoint state is missing {exc}"
-            ) from exc
-        self._round = checkpoint.round
-        self._live = sum(
-            1 for ctx in self._contexts if not ctx._halted
-        )
-        self.metrics = CongestMetrics.from_dict(checkpoint.metrics)
-        if self.trace is not None and checkpoint.trace_rounds is not None:
-            self.trace.rounds = [
-                RoundTrace.from_dict(d) for d in checkpoint.trace_rounds
-            ]
-        # A pre-initialization checkpoint (captured before run()) leaves
-        # this False, so the resumed run still initializes normally.
-        self._initialized = bool(state.get("initialized", True))
-        # Restored pending state is always dictionary-shaped (capture
-        # materializes); discard any plan from the pre-restore life.
-        self._send_plan = None
-        self._lazy_plan = None
-        # Rebuild the kernel over the restored scalar state.  resume=True
-        # makes its first round replay the restored inbox dictionaries
-        # (the previous round's sends are not in any column yet).
-        from .kernels import maybe_build_kernel
-
-        self._kernel = maybe_build_kernel(self, resume=True)
-        if self._registry is not None:
-            self._registry.count("congest.checkpoints_restored")
 
     # ------------------------------------------------------------------
     def _due_vertices(self, round_number: int) -> List[int]:
@@ -860,7 +468,7 @@ class FastEngine:
                 if crash_rounds is not None:
                     # Clamp the wakeup so a scheduled crash is noticed
                     # at its exact round even while the vertex is idle.
-                    cr = crash_rounds[i]
+                    cr = crash_rounds.get(i)
                     if (
                         cr is not None
                         and cr > current_round
@@ -877,50 +485,6 @@ class FastEngine:
             else:
                 runnable_add(i)
                 wake[i] = None
-
-    def _deliver_delayed(self, round_number: int) -> None:
-        """Release withheld payloads whose delivery round has arrived.
-
-        Entries are ordered by (send round, sender rank, receiver rank)
-        — a pure function of the plan and the canonical vertex order —
-        so both engines append released payloads to the pending inboxes
-        in the identical order regardless of internal iteration order.
-        """
-        queue = self._delay_queue
-        ready = [r for r in queue if r <= round_number]
-        if not ready:
-            return
-        entries: List[Tuple] = []
-        for release in sorted(ready):
-            entries.extend(queue.pop(release))
-        index = self._index
-        entries.sort(key=lambda e: (e[0], index[e[1]], index[e[2]]))
-        pending = self._pending
-        pending_ids_add = self._pending_ids.add
-        want_detail = self._want_detail
-        for entry in entries:
-            # Detail-mode entries carry a fifth element: the original
-            # per-edge sequence number (see _collect).
-            send_round, sender, receiver, payload = entry[:4]
-            if want_detail:
-                event = {
-                    "s": repr(sender), "r": repr(receiver),
-                    "o": "release", "sr": send_round,
-                }
-                if len(entry) > 4:
-                    event["q"] = entry[4]
-                self._inflight_events.append(event)
-            j = index[receiver]
-            box = pending[j]
-            if box is None:
-                pending[j] = {sender: [payload]}
-                pending_ids_add(j)
-            else:
-                lst = box.get(sender)
-                if lst is None:
-                    box[sender] = [payload]
-                else:
-                    lst.append(payload)
 
     def _collect(self, sender_ids) -> None:
         """Drain the outboxes of the vertices that just stepped.

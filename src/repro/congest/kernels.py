@@ -11,8 +11,7 @@ per-context outboxes, so the single accounting path in
 draws also stay on the per-vertex scalar generators (``ctx.rng``):
 the registered protocols consume O(log n) words per vertex, far too
 few to amortize columnar stream adoption (see the measurements in
-``docs/kernels.md``); :class:`~repro.rng.MTColumn` remains available
-for draw-heavy kernels.
+``docs/kernels.md``).
 
 Activation (:func:`maybe_build_kernel`) is deliberately conservative.
 A kernel engages only when

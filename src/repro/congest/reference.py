@@ -8,44 +8,37 @@ outputs, metrics, and traces.  Prefer clarity over speed here — every
 round it re-derives the due set by scanning all wakeups and drains the
 outboxes of every vertex.
 
-Shared with the fast engine (so the two stay comparable):
+Its own, and independent of the fast engine: the due set, stepping,
+collection, rescheduling and the order of the round loop.
+
+Shared with the fast engine through
+:class:`repro.congest.bookkeeping.EngineBookkeeping`, which this engine
+drives with vertex labels as its keys:
 
 * per-vertex state construction (canonical vertex order, derived RNG
-  streams) via :func:`repro.congest.engine.build_vertex_state`;
-* the accounting policy — traffic is recorded against the round it is
-  delivered into, so ``metrics.rounds`` equals rounds executed.
+  streams) and the accounting policy — traffic is recorded against the
+  round it is delivered into, so ``metrics.rounds`` equals rounds
+  executed;
+* the crash and rejoin schedule, rejoin revival and local
+  crash-recovery snapshots;
+* the ordered release of delayed payloads;
+* checkpoint capture and restore.
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
-from ..errors import CheckpointError, MessageTooLargeError, ProtocolError
+from ..errors import MessageTooLargeError, ProtocolError
 from ..graph import Graph, canonical_vertex_order
-from .algorithm import VertexAlgorithm, VertexContext
-from .checkpoint import (
-    PICKLE_PROTOCOL,
-    SimulationCheckpoint,
-    graph_fingerprint,
-    verify_restore_target,
-)
-from .engine import _NO_TRAFFIC, build_vertex_state
-from .faults import (
-    CORRUPT,
-    DROP,
-    DUPLICATE,
-    NO_FAULTS,
-    FaultInjector,
-    pad_fault_counts,
-)
+from .algorithm import VertexAlgorithm
+from .bookkeeping import _NO_TRAFFIC, EngineBookkeeping
+from .faults import CORRUPT, DROP, DUPLICATE, NO_FAULTS, FaultInjector
 from .message import MessageBudget, message_bits
-from .metrics import CongestMetrics
-from .trace import RoundTrace, TraceRecorder, detail_event_sort_key
-from ..obs import registry as _telemetry
+from .trace import TraceRecorder, detail_event_sort_key
 
 
-class ReferenceEngine:
+class ReferenceEngine(EngineBookkeeping):
     """Dict-based scheduler; see the module docstring."""
 
     name = "reference"
@@ -61,95 +54,54 @@ class ReferenceEngine:
         trace: Optional[TraceRecorder] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
-        self.graph = graph
-        self.budget = budget if budget is not None else MessageBudget(graph.n)
-        self.strict = strict
-        self.capacity = capacity
-        self.metrics = CongestMetrics()
-        self.trace = trace
-        self.faults = faults
-        # Kept for crash-recovery: a rejoining vertex with no local
-        # snapshot re-initializes through the same factory.
-        self._factory = algorithm_factory
-
-        order, contexts, algorithms = build_vertex_state(
-            graph, algorithm_factory, seed
+        super().__init__(
+            graph, algorithm_factory, budget, strict, capacity, seed, trace,
+            faults,
         )
-        self._order = order
-        # Canonical rank, shared with the fast engine's integer ids, so
-        # delayed-delivery ordering is identical across engines.
-        self._rank: Dict[Any, int] = {v: i for i, v in enumerate(order)}
-        self._contexts: Dict[Any, VertexContext] = dict(zip(order, contexts))
-        self._algorithms: Dict[Any, VertexAlgorithm] = dict(
-            zip(order, algorithms)
-        )
+        self._keys = self._verts
         self._pending: Dict[Any, Dict[Any, List[Any]]] = {
-            v: {} for v in self._order
+            v: {} for v in self._verts
         }
         self._has_pending: Set[Any] = set()
-        self._round = 0
         # Vertices that must step next round regardless of messages.
-        self._runnable: Set[Any] = set(self._order)
+        self._runnable: Set[Any] = set(self._verts)
         # Scheduled wakeups for idle vertices: vertex -> round number.
         self._wakeups: Dict[Any, int] = {}
-        # Telemetry is sampled once at construction, exactly as the
-        # fast engine does, so both publish into the same registry.
-        self._registry = (
-            _telemetry.current_registry() if _telemetry.enabled() else None
-        )
-        self._want_bits_hist = trace is not None or self._registry is not None
-        # Per-message provenance events (trace schema 5), opt-in via
-        # TraceRecorder(detail=True); mirrors the fast engine.
-        self._want_detail = trace is not None and getattr(
-            trace, "detail", False
-        )
-        self._inflight_events: List[Dict[str, Any]] = []
-        # Traffic awaiting delivery at the next executed round.
-        self._inflight: Tuple[Dict, int, int, Dict, Tuple[int, ...]] = (
-            _NO_TRAFFIC
-        )
-        # Payloads the fault channel withheld, keyed by release round
-        # (mirrors the fast engine; vertex-keyed for checkpoints).
-        self._delay_queue: Dict[int, List[Tuple[int, Any, Any, Any]]] = {}
-        # Crash schedule, or None when the plan has no crashes.
-        if faults is not None and faults.plan.crashes:
-            self._crash_rounds: Optional[Dict[Any, int]] = {
-                v: faults.crash_round(v)
-                for v in order
-                if faults.crash_round(v) is not None
-            }
-            # Crash-recovery schedule: (rejoin round, vertex), sorted by
-            # round with canonical order breaking ties (stable sort over
-            # the canonical vertex order), exactly as the fast engine.
-            rejoins = [
-                (faults.rejoin_round(v), v)
-                for v in order
-                if faults.rejoin_round(v) is not None
-            ]
-            rejoins.sort(key=lambda entry: entry[0])
-            self._rejoin_queue: List[Tuple[int, Any]] = rejoins
-            self._snapshot_interval = faults.checkpoint_interval
-        else:
-            self._crash_rounds = None
-            self._rejoin_queue = []
-            self._snapshot_interval = None
-        self._crashed: Set[Any] = set()
-        # Local crash-recovery snapshots: only vertices still scheduled
-        # to rejoin are worth snapshotting.
-        self._snapshot_targets: Set[Any] = {v for _, v in self._rejoin_queue}
-        self._snapshots: Dict[Any, bytes] = {}
-        self._snapshot_rounds: Dict[Any, int] = {}
-        # Flipped by run() after the initialization pass; a restored
-        # post-init checkpoint carries True, so run() then skips
-        # initialization and continues mid-simulation.
-        self._initialized = False
+
+    # -- key mapping and scheduler hooks (see EngineBookkeeping) ---------
+    @staticmethod
+    def _vertex(v: Any) -> Any:
+        return v
+
+    _key = _edge_vertices = _vertex
+
+    def _by_key(self, values: List[Any]) -> Dict[Any, Any]:
+        return dict(zip(self._verts, values))
+
+    def _edge_key(self, sender: Any, receiver: Any) -> Any:
+        return (sender, receiver)
+
+    def _enqueue(self, v: Any, sender: Any, payload: Any) -> None:
+        self._pending[v].setdefault(sender, []).append(payload)
+        self._has_pending.add(v)
+
+    def _on_revive(self, v: Any) -> None:
+        self._pending[v] = {}
+        self._has_pending.discard(v)
+        self._wakeups.pop(v, None)
+        if not self._contexts[v].halted:
+            self._runnable.add(v)
+
+    def _wakeup_items(self):
+        return self._wakeups.items()
+
+    def _restore_schedule(self, pending, runnable, wakeups) -> None:
+        self._pending = {v: pending.get(v, {}) for v in self._verts}
+        self._has_pending = set(pending)
+        self._runnable = runnable
+        self._wakeups = wakeups
 
     # ------------------------------------------------------------------
-    @property
-    def rounds_executed(self) -> int:
-        """Final value of the synchronous round counter."""
-        return self._round
-
     def run(
         self,
         max_rounds: int = 10_000,
@@ -168,26 +120,15 @@ class ReferenceEngine:
         crash_rounds = self._crash_rounds
         if not self._initialized:
             self._initialized = True
-            init_crashed = 0
-            for v in self._order:
-                if crash_rounds is not None:
-                    cr = crash_rounds.get(v)
-                    if cr is not None and cr <= 0:
-                        # Fail-stopped before round 0: never initializes.
-                        self._contexts[v]._halted = True
-                        self._crashed.add(v)
-                        init_crashed += 1
-                        continue
+            for v in self._initial_cohort():
                 self._algorithms[v].initialize(self._contexts[v])
-            if init_crashed:
-                self.metrics.record_crashed(init_crashed)
             if self._registry is not None:
                 with self._registry.span("congest.collect"):
                     self._collect()
             else:
                 self._collect()
             self._runnable = {
-                v for v in self._order if not self._contexts[v].halted
+                v for v in self._verts if not self._contexts[v].halted
             }
 
         while self._round < max_rounds and (
@@ -306,7 +247,7 @@ class ReferenceEngine:
                     bits=bits,
                     stepped=len(stepped),
                     idle=live_before - len(stepped) - crashed_now,
-                    halted=len(self._order) - live_after,
+                    halted=len(self._verts) - live_after,
                     skipped_before=skipped,
                     dropped=fcounts[0],
                     duplicated=fcounts[1],
@@ -328,267 +269,13 @@ class ReferenceEngine:
 
         if self._registry is not None:
             self.metrics.publish_telemetry(self._registry)
-        outputs = {v: self._contexts[v].output for v in self._order}
+        outputs = {v: self._contexts[v].output for v in self._verts}
         return SimulationResult(
             outputs=outputs,
             metrics=self.metrics,
             halted=self._all_halted(),
             crashed=frozenset(self._crashed),
         )
-
-    def _record_skipped(self, rounds: int) -> None:
-        self.metrics.record_skipped(rounds)
-        if self._registry is not None and rounds > 0:
-            # Telemetry only (mirrors the fast engine).
-            self._registry.count("congest.rounds_skipped", rounds)
-
-    # -- crash recovery -------------------------------------------------
-    def _process_rejoins(self, round_number: int) -> List[Any]:
-        """Revive crashed vertices whose scheduled rejoin round arrived.
-
-        Mirrors the fast engine exactly: restore from the most recent
-        local snapshot, or re-initialize from scratch with the original
-        RNG seed; mail queued while dead is lost; rejoins of vertices
-        that halted normally before crashing are dropped.
-        """
-        queue = self._rejoin_queue
-        revived: List[Any] = []
-        while queue and queue[0][0] <= round_number:
-            _, v = queue.pop(0)
-            self._snapshot_targets.discard(v)
-            if v not in self._crashed:
-                continue
-            self._crashed.discard(v)
-            if self._crash_rounds is not None:
-                # The crash has been consumed; without this the vertex
-                # would fail-stop again on its next step.
-                self._crash_rounds.pop(v, None)
-            snapshot = self._snapshots.pop(v, None)
-            self._snapshot_rounds.pop(v, None)
-            if snapshot is not None:
-                algorithm, ctx = pickle.loads(snapshot)
-                ctx.round_number = round_number
-            else:
-                old = self._contexts[v]
-                ctx = VertexContext(
-                    vertex=old.vertex,
-                    neighbors=old.neighbors,
-                    edge_weights=dict(old.edge_weights),
-                    n=old.n,
-                    rng_seed=old._rng_seed,
-                )
-                ctx.round_number = round_number
-                algorithm = self._factory(old.vertex)
-            self._contexts[v] = ctx
-            self._algorithms[v] = algorithm
-            if snapshot is None:
-                algorithm.initialize(ctx)
-            self._pending[v] = {}
-            self._has_pending.discard(v)
-            self._wakeups.pop(v, None)
-            if not ctx.halted:
-                self._runnable.add(v)
-            revived.append(v)
-        if revived:
-            self.metrics.record_rejoined(len(revived))
-        return revived
-
-    def _take_local_snapshots(self, stepped: List[Any],
-                              round_number: int) -> None:
-        """Snapshot rejoin-scheduled vertices every ``checkpoint_interval``
-        rounds of their round clock; runs after collection so snapshots
-        never contain queued outbox messages (mirrors the fast engine).
-        """
-        interval = self._snapshot_interval
-        targets = self._snapshot_targets
-        last_rounds = self._snapshot_rounds
-        for v in stepped:
-            if v in targets and not self._contexts[v].halted:
-                last = last_rounds.get(v)
-                if last is None or round_number - last >= interval:
-                    self._snapshots[v] = pickle.dumps(
-                        (self._algorithms[v], self._contexts[v]),
-                        protocol=PICKLE_PROTOCOL,
-                    )
-                    last_rounds[v] = round_number
-
-    def _catch_up_local_snapshots(self, due: List[Any],
-                                  round_number: int) -> None:
-        """Before stepping (and crash filtering), snapshot a due target
-        at the latest ``last + k * interval`` round its idle stretch
-        skipped; its state has been frozen since its last step
-        (mirrors the fast engine).
-        """
-        interval = self._snapshot_interval
-        targets = self._snapshot_targets
-        last_rounds = self._snapshot_rounds
-        for v in due:
-            if v in targets:
-                last = last_rounds.get(v)
-                if last is not None and round_number - last > interval:
-                    self._snapshots[v] = pickle.dumps(
-                        (self._algorithms[v], self._contexts[v]),
-                        protocol=PICKLE_PROTOCOL,
-                    )
-                    last_rounds[v] = (
-                        round_number - 1 - (round_number - 1 - last) % interval
-                    )
-
-    # -- checkpoint / restore -------------------------------------------
-    def capture_checkpoint(self) -> SimulationCheckpoint:
-        """Freeze the simulation at the current round boundary.
-
-        Produces the same engine-neutral, vertex-keyed state layout as
-        :meth:`repro.congest.engine.FastEngine.capture_checkpoint`
-        (inboxes / wakeups / runnable flags of halted vertices are
-        normalized away), so checkpoints resume on either engine.
-        """
-        contexts = self._contexts
-        per_edge, messages, bits, bits_hist, fcounts = self._inflight
-        state = {
-            "contexts": dict(contexts),
-            "algorithms": dict(self._algorithms),
-            "pending": {
-                v: box
-                for v, box in self._pending.items()
-                if box and not contexts[v].halted
-            },
-            "runnable": {
-                v for v in self._runnable if not contexts[v].halted
-            },
-            "wakeups": {
-                v: w
-                for v, w in self._wakeups.items()
-                if not contexts[v].halted
-            },
-            "inflight": {
-                "per_edge": [
-                    (u, w, count) for (u, w), count in per_edge.items()
-                ],
-                "messages": messages,
-                "bits": bits,
-                "bits_hist": dict(bits_hist),
-                "fcounts": tuple(fcounts),
-            },
-            # Withheld payloads still in flight, flattened in release
-            # order (entries are already vertex-keyed in both engines;
-            # detail-mode entries carry a trailing sequence number).
-            "delayed": [
-                (release,) + tuple(entry)
-                for release in sorted(self._delay_queue)
-                for entry in self._delay_queue[release]
-            ],
-            # Detail events buffered for the next executed round
-            # (empty unless the trace recorder asked for detail).
-            "inflight_events": [dict(e) for e in self._inflight_events],
-            "crashed": set(self._crashed),
-            "crash_rounds": (
-                None
-                if self._crash_rounds is None
-                else dict(self._crash_rounds)
-            ),
-            "rejoin_queue": list(self._rejoin_queue),
-            "snapshots": dict(self._snapshots),
-            "snapshot_rounds": dict(self._snapshot_rounds),
-            "initialized": self._initialized,
-        }
-        if self._registry is not None:
-            self._registry.count("congest.checkpoints_captured")
-        return SimulationCheckpoint(
-            round=self._round,
-            n=len(self._order),
-            engine=self.name,
-            graph=graph_fingerprint(self.graph),
-            strict=self.strict,
-            capacity=self.capacity,
-            budget_n=self.budget.n,
-            budget_words=self.budget.words,
-            fault_plan=(
-                self.faults.plan.to_dict() if self.faults is not None else None
-            ),
-            metrics=self.metrics.to_dict(include_per_round=True),
-            state=pickle.dumps(state, protocol=PICKLE_PROTOCOL),
-            trace_rounds=(
-                [r.to_dict() for r in self.trace.rounds]
-                if self.trace is not None
-                else None
-            ),
-        )
-
-    def restore_checkpoint(self, checkpoint: SimulationCheckpoint) -> None:
-        """Replace this engine's state with a captured checkpoint.
-
-        Accepts checkpoints captured by either engine; mismatched
-        graphs or configurations raise
-        :class:`~repro.errors.CheckpointError`.
-        """
-        verify_restore_target(self, checkpoint, len(self._order))
-        try:
-            state = pickle.loads(checkpoint.state)
-        except Exception as exc:
-            raise CheckpointError(
-                f"cannot unpickle checkpoint state: {exc}"
-            ) from exc
-        try:
-            contexts = state["contexts"]
-            algorithms = state["algorithms"]
-            self._contexts = {v: contexts[v] for v in self._order}
-            self._algorithms = {v: algorithms[v] for v in self._order}
-            self._pending = {v: {} for v in self._order}
-            self._has_pending = set()
-            for v, box in state["pending"].items():
-                self._pending[v] = box
-                self._has_pending.add(v)
-            self._runnable = set(state["runnable"])
-            self._wakeups = dict(state["wakeups"])
-            inflight = state["inflight"]
-            self._inflight = (
-                {
-                    (u, w): count
-                    for u, w, count in inflight["per_edge"]
-                },
-                inflight["messages"],
-                inflight["bits"],
-                dict(inflight["bits_hist"]),
-                pad_fault_counts(inflight["fcounts"]),
-            )
-            self._delay_queue = {}
-            for entry in state.get("delayed", ()):
-                # entry = (release, send_round, sender, receiver,
-                # payload[, seq]); older checkpoints lack the trailing
-                # detail-mode sequence number.
-                self._delay_queue.setdefault(entry[0], []).append(
-                    tuple(entry[1:])
-                )
-            self._inflight_events = [
-                dict(e) for e in state.get("inflight_events", ())
-            ]
-            self._crashed = set(state["crashed"])
-            crash_rounds = state["crash_rounds"]
-            self._crash_rounds = (
-                None if crash_rounds is None else dict(crash_rounds)
-            )
-            self._rejoin_queue = [
-                (r, v) for r, v in state["rejoin_queue"]
-            ]
-            self._snapshot_targets = {v for _, v in self._rejoin_queue}
-            self._snapshots = dict(state["snapshots"])
-            self._snapshot_rounds = dict(state["snapshot_rounds"])
-        except KeyError as exc:
-            raise CheckpointError(
-                f"checkpoint state is missing {exc}"
-            ) from exc
-        self._round = checkpoint.round
-        self.metrics = CongestMetrics.from_dict(checkpoint.metrics)
-        if self.trace is not None and checkpoint.trace_rounds is not None:
-            self.trace.rounds = [
-                RoundTrace.from_dict(d) for d in checkpoint.trace_rounds
-            ]
-        # A pre-initialization checkpoint (captured before run()) leaves
-        # this False, so the resumed run still initializes normally.
-        self._initialized = bool(state.get("initialized", True))
-        if self._registry is not None:
-            self._registry.count("congest.checkpoints_restored")
 
     # ------------------------------------------------------------------
     def _due_vertices(self, round_number: int) -> List[Any]:
@@ -658,7 +345,7 @@ class ReferenceEngine:
             inj_part = injector.has_partitions
             inj_delay = injector.has_delay
             delay_queue = self._delay_queue
-        for v in self._order:
+        for v in self._verts:
             ctx = contexts[v]
             outbox = ctx._drain_outbox()
             for neighbor, payload in outbox:
@@ -793,38 +480,3 @@ class ReferenceEngine:
             if injector is not None
             else NO_FAULTS,
         )
-
-    def _deliver_delayed(self, round_number: int) -> None:
-        """Release withheld payloads whose delivery round has arrived.
-
-        Entries are ordered by (send round, sender rank, receiver rank)
-        — a pure function of the plan and the canonical vertex order —
-        exactly as the fast engine orders them, so both engines append
-        released payloads to the pending inboxes identically.
-        """
-        queue = self._delay_queue
-        ready = [r for r in queue if r <= round_number]
-        if not ready:
-            return
-        entries: List[Tuple] = []
-        for release in sorted(ready):
-            entries.extend(queue.pop(release))
-        rank = self._rank
-        entries.sort(key=lambda e: (e[0], rank[e[1]], rank[e[2]]))
-        pending = self._pending
-        has_pending_add = self._has_pending.add
-        want_detail = self._want_detail
-        for entry in entries:
-            # Detail-mode entries carry a fifth element: the original
-            # per-edge sequence number (see _collect).
-            send_round, sender, receiver, payload = entry[:4]
-            if want_detail:
-                event = {
-                    "s": repr(sender), "r": repr(receiver),
-                    "o": "release", "sr": send_round,
-                }
-                if len(entry) > 4:
-                    event["q"] = entry[4]
-                self._inflight_events.append(event)
-            pending[receiver].setdefault(sender, []).append(payload)
-            has_pending_add(receiver)

@@ -12,6 +12,7 @@ with every capture-engine/resume-engine pair, including cross-engine.
 import dataclasses
 import json
 import os
+import pickle
 import random
 
 import pytest
@@ -426,4 +427,32 @@ def test_v1_fixture_loads_and_resumes():
     baseline = _run_uninterrupted(graph, FixtureFlood, FaultPlan(), "fast")
     recorder = TraceRecorder("resumed")
     sim = resume_simulation(graph, FixtureFlood, checkpoint, trace=recorder)
+    assert _fingerprint(sim.run(300), recorder) == baseline
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_v1_churn_fixture_resumes_on_both_engines(engine):
+    """A schema-1 checkpoint captured mid-churn must keep resuming.
+
+    The fixture was captured by the fast engine at the round-4 boundary
+    of FixtureFlood under crashes, rejoins, local snapshots every two
+    rounds and bounded message delay, so every piece of crash-recovery
+    and delayed-delivery state in the blob is non-empty.
+    """
+    path = os.path.join(FIXTURES, "checkpoint_v1_churn.json")
+    checkpoint = SimulationCheckpoint.load(path)
+    assert checkpoint.schema == 1 and checkpoint.round == 4
+    graph = _graph()
+    assert checkpoint.graph == graph_fingerprint(graph)
+    state = pickle.loads(checkpoint.state)
+    for key in ("snapshots", "snapshot_rounds", "rejoin_queue", "delayed"):
+        assert state[key], key
+
+    plan = FaultPlan.from_dict(checkpoint.fault_plan)
+    assert plan.rejoins and plan.delay and plan.checkpoint_interval == 2
+    baseline = _run_uninterrupted(graph, FixtureFlood, plan, engine)
+    recorder = TraceRecorder("resumed")
+    sim = resume_simulation(
+        graph, FixtureFlood, checkpoint, engine=engine, trace=recorder
+    )
     assert _fingerprint(sim.run(300), recorder) == baseline

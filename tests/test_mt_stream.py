@@ -1,6 +1,6 @@
 """Exactness contract of the batched MT19937 stream.
 
-:class:`repro.routing._mt_stream.MTStream` claims to be a word-for-word
+:class:`repro.rng.MTStream` claims to be a word-for-word
 clone of ``random.Random``: same raw 32-bit words, same ``random()``
 floats, same ``_randbelow`` rejection consumption, and a ``commit``
 that lets scalar draws continue the stream seamlessly.  These tests pin
@@ -18,7 +18,7 @@ import pytest
 
 from repro.generators import k_tree
 from repro.routing import walk_exchange
-from repro.routing._mt_stream import HAVE_NUMPY, MTStream
+from repro.rng import HAVE_NUMPY, MTStream
 
 # The package re-exports the walk_exchange *function* under the same
 # name as its defining module; go through importlib for the module.
@@ -168,48 +168,3 @@ def test_random_interleavings_match_scalar_stream(case_seed):
     if stream is not None:
         stream.commit()
     assert ours.getstate() == theirs.getstate()
-
-
-@pytest.mark.parametrize("case_seed", range(6))
-def test_mt_column_interleaves_with_scalar_draws(case_seed):
-    """The kernels' per-vertex columns stay equal to ``random.Random``
-    under ragged vectorized draws interleaved with scalar consumption
-    (commit-back through ``state_of`` after partial block use)."""
-    np = pytest.importorskip("numpy")
-    from repro.rng import MTColumn, fresh_random_from_state
-
-    driver = random.Random(2000 + case_seed)
-    n = 6
-    seeds = [driver.getrandbits(32) for _ in range(n)]
-    scalars = [random.Random(s) for s in seeds]
-    col = MTColumn(n)
-    col.adopt_seeds(np.arange(n), seeds)
-    for _op in range(25):
-        rows = np.array(
-            sorted(driver.sample(range(n), driver.randrange(1, n + 1))),
-            dtype=np.intp,
-        )
-        kind = driver.randrange(3)
-        if kind == 0:
-            drawn = col.random_column(rows)
-            for row, value in zip(rows.tolist(), drawn.tolist()):
-                assert value == scalars[row].random()
-        elif kind == 1:
-            bounds = np.array(
-                [driver.randrange(1, 50) for _ in rows], dtype=np.int64
-            )
-            drawn = col.randbelow_column(rows, bounds)
-            for row, bound, value in zip(
-                rows.tolist(), bounds.tolist(), drawn.tolist()
-            ):
-                assert value == scalars[row]._randbelow(bound)
-        else:
-            # Commit one row back to a scalar generator, draw there,
-            # and re-adopt: partial consumption must survive the trip.
-            row = int(rows[0])
-            rebuilt = fresh_random_from_state(col.state_of(row))
-            assert rebuilt.getstate() == scalars[row].getstate()
-            assert rebuilt.random() == scalars[row].random()
-            col.adopt_state(row, rebuilt)
-    for row in range(n):
-        assert col.state_of(row) == scalars[row].getstate()
