@@ -1,5 +1,5 @@
 """Reporting helpers for the benchmark harness."""
 
-from .reporting import Table, format_ratio
+from .reporting import Table
 
-__all__ = ["Table", "format_ratio"]
+__all__ = ["Table"]

@@ -10,11 +10,6 @@ from __future__ import annotations
 from typing import Any, List, Sequence
 
 
-def format_ratio(value: float, digits: int = 3) -> str:
-    """Render an approximation ratio compactly."""
-    return f"{value:.{digits}f}"
-
-
 class Table:
     """Minimal aligned-column table with a title."""
 

@@ -25,12 +25,11 @@ reference engine and vice versa.
 
 Wire format: a schema-versioned JSON envelope whose ``state`` field is
 a pickled (protocol-pinned) blob of the live vertex objects, base64
-encoded.  The blob must be one pickle so that object identity between
-an algorithm and its context (wrappers like
-:class:`repro.resilience.transport.ReliableAlgorithm` hold both) is
-preserved across the round trip.  Checkpointing therefore requires the
-vertex algorithms to be picklable — true for every algorithm in this
-library.
+encoded.  The blob must be one pickle so that object identity shared
+between vertex objects (an algorithm that keeps a reference to its
+context, say) is preserved across the round trip.  Checkpointing
+therefore requires the vertex algorithms to be picklable — true for
+every algorithm in this library.
 """
 
 from __future__ import annotations

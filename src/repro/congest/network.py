@@ -69,11 +69,6 @@ _ENGINES = ("fast", "reference")
 _default_engine = "fast"
 
 
-def default_engine() -> str:
-    """Name of the engine used when ``CongestSimulator`` gets none."""
-    return _default_engine
-
-
 def set_default_engine(name: str) -> None:
     """Set the process-wide default engine (``"fast"`` or ``"reference"``)."""
     global _default_engine
@@ -128,8 +123,8 @@ class CongestSimulator:
         regardless of scheduling details — and identical across the two
         engines.
     engine:
-        ``"fast"`` or ``"reference"``; ``None`` uses
-        :func:`default_engine`.
+        ``"fast"`` or ``"reference"``; ``None`` uses the process-wide
+        default (:func:`set_default_engine`, :func:`use_engine`).
     trace:
         Optional :class:`TraceRecorder` receiving one structured record
         per executed round.  When ``None`` and a

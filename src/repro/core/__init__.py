@@ -15,11 +15,7 @@ from .framework import (
     partition_minor_free,
     run_framework,
 )
-from .failure import (
-    degree_condition_holds,
-    diameter_within,
-    singletonize_failed_clusters,
-)
+from .failure import degree_condition_holds, diameter_within
 
 __all__ = [
     "ClusterRun",
@@ -30,5 +26,4 @@ __all__ = [
     "run_framework",
     "degree_condition_holds",
     "diameter_within",
-    "singletonize_failed_clusters",
 ]

@@ -11,7 +11,6 @@ behind the gamma(G) >= |E|/2 bound, and the framework-based
 from .scoring import agreement_score, best_trivial_clustering
 from .exact import exact_correlation
 from .local_search import local_search_correlation, solve_correlation
-from .pivot import disagreement_score, pivot_clustering
 from .distributed import (
     DistributedClusteringResult,
     distributed_correlation_clustering,
@@ -23,8 +22,6 @@ __all__ = [
     "exact_correlation",
     "local_search_correlation",
     "solve_correlation",
-    "disagreement_score",
-    "pivot_clustering",
     "DistributedClusteringResult",
     "distributed_correlation_clustering",
 ]

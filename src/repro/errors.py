@@ -75,10 +75,10 @@ class SolverBudgetError(SolverError):
     """An exact branch and bound exhausted its node budget.
 
     The only failure the leaders' solvers (``solve_mds``,
-    ``solve_maxis``, ``solve_weighted_maxis``) answer with their
-    heuristic fallback.  Any other :class:`SolverError` — an internal
-    check finding a non-dominating or dependent set — propagates, so a
-    broken exact solver cannot hide behind the fallback.
+    ``solve_maxis``) answer with their heuristic fallback.  Any other
+    :class:`SolverError` — an internal check finding a non-dominating
+    or dependent set — propagates, so a broken exact solver cannot hide
+    behind the fallback.
     """
 
 

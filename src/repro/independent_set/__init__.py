@@ -10,13 +10,6 @@ the framework-based (1 - epsilon)-approximation.
 from .exact import exact_maxis, solve_maxis, two_improvement_is
 from .greedy import LubyMIS, greedy_min_degree_is, luby_mis
 from .distributed import DistributedISResult, distributed_maxis
-from .weighted import (
-    DistributedWeightedISResult,
-    distributed_weighted_maxis,
-    exact_weighted_maxis,
-    greedy_weighted_is,
-    solve_weighted_maxis,
-)
 
 __all__ = [
     "exact_maxis",
@@ -27,9 +20,4 @@ __all__ = [
     "luby_mis",
     "DistributedISResult",
     "distributed_maxis",
-    "DistributedWeightedISResult",
-    "distributed_weighted_maxis",
-    "exact_weighted_maxis",
-    "greedy_weighted_is",
-    "solve_weighted_maxis",
 ]

@@ -5,20 +5,18 @@ a from-scratch blossom algorithm for maximum cardinality matching and a
 from-scratch primal-dual weighted blossom for maximum weight matching.
 Approximate/distributed: the Section 3.2 planar MCM pipeline (star
 elimination + framework), the Theorem 1.1 H-minor-free MWM algorithm,
-and greedy / local-search baselines.
+and greedy baselines.
 """
 
 from .blossom import max_cardinality_matching
-from .weighted import brute_force_mwm, max_weight_matching
+from .weighted import max_weight_matching
 from .greedy import greedy_weight_matching, maximal_matching
-from .local_search import local_search_mwm
 from .preprocess import eliminate_stars
 from .util import is_matching, matching_weight
 from .distributed import (
     DistributedMatchingResult,
     ProposalMatching,
     distributed_maximal_matching,
-    distributed_mcm_minor_free,
     distributed_mcm_planar,
     distributed_mwm,
 )
@@ -26,17 +24,14 @@ from .distributed import (
 __all__ = [
     "max_cardinality_matching",
     "max_weight_matching",
-    "brute_force_mwm",
     "greedy_weight_matching",
     "maximal_matching",
-    "local_search_mwm",
     "eliminate_stars",
     "is_matching",
     "matching_weight",
     "DistributedMatchingResult",
     "ProposalMatching",
     "distributed_maximal_matching",
-    "distributed_mcm_minor_free",
     "distributed_mcm_planar",
     "distributed_mwm",
 ]

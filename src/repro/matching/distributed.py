@@ -603,27 +603,3 @@ def distributed_mwm(
         epsilon=epsilon,
         rounds=rounds,
     )
-
-
-def distributed_mcm_minor_free(
-    graph: Graph,
-    epsilon: float,
-    iterations: Optional[int] = None,
-    phi: Optional[float] = None,
-    seed: SeedLike = None,
-) -> DistributedMatchingResult:
-    """(1 - epsilon)-approximate MCM on arbitrary H-minor-free networks.
-
-    Section 3.2 proves the planar case; the paper generalizes via the
-    weighted machinery (the planar preprocessing of [27] does not apply
-    beyond planar graphs).  We follow the same route: run the
-    Theorem 1.1 algorithm with unit weights — cardinality is weight.
-    """
-    unit = Graph()
-    for v in graph.vertices():
-        unit.add_vertex(v)
-    for u, v in graph.edges():
-        unit.add_edge(u, v, 1.0)
-    return distributed_mwm(
-        unit, epsilon, iterations=iterations, phi=phi, seed=seed
-    )

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, Set, Tuple
 
-from ..errors import GraphError
-from ..graph import Graph, edge_key
+from ..graph import Graph
 
 Matching = Set[Tuple]
-
-
-def normalize_matching(edges: Iterable[Tuple]) -> Matching:
-    """Canonicalize a collection of edges into a matching set."""
-    return {edge_key(u, v) for u, v in edges}
 
 
 def is_matching(graph: Graph, edges: Iterable[Tuple]) -> bool:
@@ -38,9 +32,3 @@ def matching_weight(graph: Graph, edges: Iterable[Tuple]) -> float:
     for u, v in edges:
         total += graph.weight(u, v)
     return total
-
-
-def assert_matching(graph: Graph, edges: Iterable[Tuple]) -> None:
-    """Raise :class:`GraphError` unless ``edges`` is a valid matching."""
-    if not is_matching(graph, list(edges)):
-        raise GraphError("edge set is not a matching of the graph")

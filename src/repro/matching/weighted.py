@@ -16,15 +16,10 @@ pins it against brute force and networkx on thousands of instances.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import SolverError
 from ..graph import Graph, edge_key
 from .util import Matching
-
-#: Largest vertex count for which the exponential brute force will run.
-BRUTE_FORCE_LIMIT = 16
 
 
 def _mwm_indexed(
@@ -457,37 +452,3 @@ def max_weight_matching(
             result.add(edge_key(inverse[v], inverse[partner]))
     return result
 
-
-def brute_force_mwm(graph: Graph) -> Tuple[float, Matching]:
-    """Exponential exact MWM used as a test oracle (n <= 16 only)."""
-    if graph.n > BRUTE_FORCE_LIMIT:
-        raise SolverError(
-            f"brute force MWM is limited to n <= {BRUTE_FORCE_LIMIT}"
-        )
-    edges = graph.weighted_edges()
-
-    best_weight = 0.0
-    best: Matching = set()
-
-    def recurse(index: int, used: set, weight: float, chosen: Matching) -> None:
-        nonlocal best_weight, best
-        if weight > best_weight:
-            best_weight = weight
-            best = set(chosen)
-        if index == len(edges):
-            return
-        # Prune: remaining positive weight cannot beat best.
-        remaining = sum(
-            max(0.0, w) for _u, _v, w in edges[index:]
-        )
-        if weight + remaining <= best_weight:
-            return
-        u, v, w = edges[index]
-        if u not in used and v not in used:
-            chosen.add(edge_key(u, v))
-            recurse(index + 1, used | {u, v}, weight + w, chosen)
-            chosen.discard(edge_key(u, v))
-        recurse(index + 1, used, weight, chosen)
-
-    recurse(0, set(), 0.0, set())
-    return best_weight, best

@@ -15,7 +15,7 @@ whether a change regressed any of it.  ``repro.obs`` is that substrate:
 * :class:`TelemetryRegistry` — the process-global store behind those
   helpers, mergeable across process boundaries via the same
   ``to_dict``/``merge_dict`` pattern ``CongestMetrics`` uses;
-* sinks — JSONL event stream, Prometheus text exposition, and a
+* sinks — JSONL events, Prometheus text exposition, and a
   rendered terminal report (``repro obs report``);
 * baselines — schema-versioned perf snapshots (``repro bench
   --telemetry out.json``) diffed for regressions by
@@ -42,7 +42,7 @@ from .registry import (
     span,
     telemetry_scope,
 )
-from .sinks import JsonlSink, iter_events, prometheus_text, render_report
+from .sinks import iter_events, prometheus_text, render_report
 from .baseline import (
     SNAPSHOT_SCHEMA_VERSION,
     BaselineDiff,
@@ -81,7 +81,6 @@ __all__ = [
     "reset",
     "span",
     "telemetry_scope",
-    "JsonlSink",
     "iter_events",
     "prometheus_text",
     "render_report",

@@ -111,13 +111,6 @@ class _Span:
         stats.count += 1
         stats.wall_ns += wall_ns
         stats.cpu_ns += cpu_ns
-        for sink in registry.sinks:
-            sink.emit({
-                "event": "span",
-                "path": self._path,
-                "wall_ns": wall_ns,
-                "cpu_ns": cpu_ns,
-            })
 
 
 class TelemetryRegistry:
@@ -128,7 +121,6 @@ class TelemetryRegistry:
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, FixedHistogram] = {}
         self.spans: Dict[str, SpanStats] = {}
-        self.sinks: List[Any] = []
         self._span_stack: List[str] = []
         # Optional timeline mode: when enabled, every span additionally
         # appends raw begin/end events here (epoch-ns timestamps with
@@ -165,10 +157,6 @@ class TelemetryRegistry:
 
     def span(self, name: str) -> _Span:
         return _Span(self, name)
-
-    def add_sink(self, sink: Any) -> None:
-        """Attach an event sink (anything with ``emit(dict)``)."""
-        self.sinks.append(sink)
 
     # -- cross-process merging -----------------------------------------
     def to_dict(self) -> Dict[str, Any]:

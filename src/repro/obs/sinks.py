@@ -1,4 +1,4 @@
-"""Telemetry sinks: JSONL event stream, Prometheus text, terminal report.
+"""Telemetry sinks: JSONL events, Prometheus text, terminal report.
 
 All three consume the plain-data registry payload
 (:meth:`repro.obs.registry.TelemetryRegistry.to_dict`), so they work
@@ -8,48 +8,10 @@ the ``telemetry`` section of a saved benchmark snapshot.
 
 from __future__ import annotations
 
-import json
 import re
-from typing import Any, Dict, IO, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional
 
 from .histogram import FixedHistogram
-
-
-class JsonlSink:
-    """Append telemetry events to a JSONL stream.
-
-    Attach to a registry (``registry.add_sink(sink)``) to receive one
-    event per completed span as it happens, and call :meth:`flush_registry`
-    at the end to append the aggregate counter/gauge/histogram state.
-    Accepts a path (opened lazily, line-buffered) or any writable
-    file-like object.
-    """
-
-    def __init__(self, target: Union[str, IO[str]]) -> None:
-        if isinstance(target, str):
-            self._handle: IO[str] = open(target, "w", buffering=1)
-            self._owns_handle = True
-        else:
-            self._handle = target
-            self._owns_handle = False
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-
-    def flush_registry(self, data: Dict[str, Any]) -> None:
-        """Append the aggregate state of a registry payload as events."""
-        for event in iter_events(data):
-            self.emit(event)
-
-    def close(self) -> None:
-        if self._owns_handle:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def iter_events(data: Dict[str, Any]) -> Iterator[Dict[str, Any]]:

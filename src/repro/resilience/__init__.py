@@ -1,39 +1,28 @@
-"""Resilience layer: reliable transport + post-run result validation.
+"""Resilience layer: post-run result validation.
 
 Companion to :mod:`repro.congest.faults`.  The faults module breaks
-the network; this package provides the two tools an experiment needs
-on the other side of the breakage:
-
-* :class:`ReliableAlgorithm` / :func:`reliable` — an ack/retransmit
-  wrapper giving any vertex algorithm lossless semantics over a lossy
-  channel (at a measurable round/message cost);
-* the ``validate_*`` functions and :class:`Verdict` — independent
-  re-checks grading each faulted run ``correct`` / ``degraded(ratio)``
-  / ``failed`` for the E11 fault-tolerance tables.
+the network; the ``validate_*`` functions and :class:`Verdict` here
+re-check each faulted run independently and grade it ``correct`` /
+``degraded(ratio)`` / ``failed`` for the E11 fault-tolerance tables.
 """
 
-from .transport import ReliableAlgorithm, reliable
 from .validators import (
     CORRECT,
     DEGRADED,
     FAILED,
     STALLED,
     Verdict,
-    validate_decomposition,
     validate_framework,
     validate_independent_set,
     validate_matching,
 )
 
 __all__ = [
-    "ReliableAlgorithm",
-    "reliable",
     "Verdict",
     "CORRECT",
     "DEGRADED",
     "FAILED",
     "STALLED",
-    "validate_decomposition",
     "validate_framework",
     "validate_independent_set",
     "validate_matching",

@@ -8,16 +8,15 @@ execution that produced it — and returns a :class:`Verdict`:
 
 ``correct``
     The object satisfies its full specification (e.g. the
-    decomposition meets its edge budget and every certificate
-    verifies; the independent set is independent *and* maximal).
+    independent set is independent *and* maximal).
 ``degraded(ratio)``
     The object is structurally sound but quantitatively short of
     spec; ``ratio`` in (0, 1) says how close it came (e.g. the
     fraction of vertices a framework run actually answered).
 ``failed``
-    The object violates a hard invariant (overlapping clusters, an
-    edge inside an "independent" set, a crashed run that produced
-    nothing) and must not be used.
+    The object violates a hard invariant (an edge inside an
+    "independent" set, a crashed run that produced nothing) and must
+    not be used.
 ``stalled``
     The execution never terminated — the network adversity (a
     partition that outlasted the protocol, sustained churn, unbounded
@@ -33,11 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
-from ..decomposition.expander import (
-    ExpanderDecomposition,
-    verify_expander_decomposition,
-)
-from ..errors import ReproError
 from ..graph import Graph
 from ..matching.util import is_matching
 
@@ -98,53 +92,6 @@ class Verdict:
             ratio=data["ratio"],
             detail=data.get("detail", ""),
         )
-
-
-def validate_decomposition(
-    decomposition: ExpanderDecomposition,
-    recheck_conductance: bool = True,
-) -> Verdict:
-    """Re-check a decomposition's certificates after a faulted run.
-
-    Delegates the hard invariants (partition, cut-edge completeness,
-    connectivity, conductance certificates) to
-    :func:`verify_expander_decomposition`; a violated invariant is
-    ``failed``.  An intact decomposition whose inter-cluster edge
-    budget overshoots epsilon is ``degraded`` with ratio
-    ``epsilon / cut_fraction`` — structurally fine, quantitatively
-    short of the theorem.
-    """
-    # Check the edge budget separately so an overshoot grades as
-    # degraded rather than drowning in the hard-invariant failure.
-    cut_fraction = decomposition.cut_fraction()
-    budget_ok = cut_fraction <= decomposition.epsilon + 1e-12
-    try:
-        if budget_ok:
-            verify_expander_decomposition(
-                decomposition, recheck_conductance=recheck_conductance
-            )
-        else:
-            relaxed = ExpanderDecomposition(
-                graph=decomposition.graph,
-                epsilon=1.0,
-                phi=decomposition.phi,
-                clusters=decomposition.clusters,
-                cut_edges=decomposition.cut_edges,
-                certificates=decomposition.certificates,
-            )
-            verify_expander_decomposition(
-                relaxed, recheck_conductance=recheck_conductance
-            )
-    except ReproError as exc:
-        return Verdict.failed(str(exc))
-    if budget_ok:
-        return Verdict.correct(
-            f"cut_fraction={cut_fraction:.4f} <= eps={decomposition.epsilon}"
-        )
-    return Verdict.degraded(
-        decomposition.epsilon / cut_fraction,
-        f"cut_fraction={cut_fraction:.4f} exceeds eps={decomposition.epsilon}",
-    )
 
 
 def validate_independent_set(graph: Graph, independent: Set) -> Verdict:

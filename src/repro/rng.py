@@ -69,27 +69,6 @@ def ensure_numpy_rng(seed: NumpySeedLike = None):
     return np.random.default_rng(seed)
 
 
-def derive_seed(rng: random.Random, stream: str) -> int:
-    """Derive a deterministic sub-seed for a named random stream.
-
-    Distributed simulations run many independent randomized components
-    (one per vertex, per cluster, per phase).  Deriving per-component
-    seeds from one root generator keeps runs reproducible regardless of
-    the order in which components consume randomness.
-    """
-    # Mix the stream name into the draw so distinct streams with the
-    # same root generator do not collide.
-    base = rng.getrandbits(64)
-    return hash((base, stream)) & 0x7FFFFFFFFFFFFFFF
-
-
-def split_rng(rng: random.Random, n: int) -> list:
-    """Split ``rng`` into ``n`` independent child generators."""
-    if n < 0:
-        raise ValueError("cannot split into a negative number of generators")
-    return [random.Random(rng.getrandbits(64)) for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Exact MT19937 vectorization
 # ---------------------------------------------------------------------------

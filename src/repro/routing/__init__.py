@@ -16,8 +16,6 @@ from .walk_exchange import (
     walk_exchange,
 )
 from .gather import GatherResult, gather_topology
-from .diameter_check import DiameterProbe, distributed_diameter_check
-from .aggregate import TreeAggregate, cluster_statistics, tree_aggregate
 from .tree import TreeExchange, tree_exchange
 
 __all__ = [
@@ -30,11 +28,6 @@ __all__ = [
     "default_walk_steps",
     "walk_exchange",
     "GatherResult",
-    "DiameterProbe",
-    "distributed_diameter_check",
-    "TreeAggregate",
-    "cluster_statistics",
-    "tree_aggregate",
     "gather_topology",
     "TreeExchange",
     "tree_exchange",

@@ -2,8 +2,8 @@
 
 Everything in Section 2 of the paper that is about *measuring*
 expansion lives here: conductance (exact and spectrally certified),
-lazy random walks and mixing times, sweep cuts, and the balanced edge
-separators of Theorem 1.6.
+the mixing-time bound of lazy random walks, sweep cuts, and the
+balanced edge separators of Theorem 1.6.
 """
 
 from .conductance import (
@@ -15,15 +15,8 @@ from .conductance import (
     spectral_gap,
     sweep_cut,
 )
-from .random_walk import (
-    lazy_walk_matrix,
-    mixing_time_bound,
-    mixing_time_exact,
-    simulate_lazy_walk,
-    stationary_distribution,
-)
+from .random_walk import mixing_time_bound
 from .separators import balanced_edge_separator, separator_quality
-from .gadgets import exact_sparsity, expander_gadget, split_vertices
 
 __all__ = [
     "cheeger_bounds",
@@ -33,14 +26,7 @@ __all__ = [
     "normalized_laplacian",
     "spectral_gap",
     "sweep_cut",
-    "lazy_walk_matrix",
     "mixing_time_bound",
-    "mixing_time_exact",
-    "simulate_lazy_walk",
-    "stationary_distribution",
     "balanced_edge_separator",
     "separator_quality",
-    "exact_sparsity",
-    "expander_gadget",
-    "split_vertices",
 ]

@@ -38,14 +38,12 @@ from __future__ import annotations
 
 import atexit
 import errno
-import io
 import json
 import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
 from hashlib import blake2b
-from typing import Any, Dict, IO, Iterator, Optional, Tuple
+from typing import Any, Dict, IO, Optional, Tuple
 
 from .errors import ChecksumError, FaultError, StorageError
 
@@ -69,7 +67,6 @@ __all__ = [
     "read_bytes",
     "read_text",
     "DurableAppender",
-    "iter_sealed_lines",
 ]
 
 # Frame layout: 4-byte magic, 16-byte blake2b digest of the payload,
@@ -503,6 +500,22 @@ def _retry_transient(what: str, path: str, func: Any) -> Any:
 # primitives
 
 
+def _create_temp(directory: str) -> Tuple[int, str]:
+    """Create a fresh temp file in ``directory``; return (fd, path).
+
+    Mode 0o666 lets the kernel apply the umask, as for any new file
+    (``tempfile.mkstemp`` always uses 0o600, which the rename would
+    carry over to the destination).
+    """
+    while True:
+        tmp_path = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        except FileExistsError:
+            continue
+        return fd, tmp_path
+
+
 def atomic_write_bytes(path: str, data: bytes, verify: bool = False) -> None:
     """Atomically replace ``path`` with ``data`` (write-temp, fsync, rename).
 
@@ -533,8 +546,7 @@ def atomic_write_bytes(path: str, data: bytes, verify: bool = False) -> None:
             if torn is not None:
                 payload = payload[:torn]
             drop_replace = injector.drops_fsync(name)
-        directory = os.path.dirname(path) or "."
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd, tmp_path = _create_temp(os.path.dirname(path) or ".")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
@@ -670,27 +682,3 @@ class DurableAppender:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def iter_sealed_lines(
-    path: str, stats: Optional[Dict[str, int]] = None
-) -> Iterator[Dict[str, Any]]:
-    """Yield verified records from a JSONL file, counting bad lines.
-
-    Unparseable, truncated, or checksum-failing lines are skipped; if
-    ``stats`` is given its ``"skipped"`` entry is incremented per bad
-    line.  Legacy records without a checksum are yielded as-is.
-    """
-    data = read_text(path)
-    for line in io.StringIO(data):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
-            yield check_record(record)
-        except (ValueError, ChecksumError):
-            if stats is not None:
-                stats["skipped"] = stats.get("skipped", 0) + 1

@@ -44,11 +44,6 @@ def list_triangles(graph: Graph) -> Set[Triangle]:
     return triangles
 
 
-def count_triangles(graph: Graph) -> int:
-    """Number of triangles in ``graph``."""
-    return len(list_triangles(graph))
-
-
 def distributed_triangle_listing(
     graph: Graph,
     epsilon: float = 0.3,

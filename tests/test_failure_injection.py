@@ -8,7 +8,7 @@ inject each failure and assert it is surfaced, never silently wrong.
 
 import pytest
 
-from repro.core import partition_minor_free, singletonize_failed_clusters
+from repro.core import partition_minor_free
 from repro.core.failure import degree_condition_holds
 from repro.errors import DecompositionError
 from repro.generators import (
@@ -92,20 +92,6 @@ class TestModelViolations:
 
 
 class TestRecovery:
-    def test_singletonization_preserves_coverage(self):
-        clusters = [{0, 1, 2}, {3, 4}, {5}]
-        fixed = singletonize_failed_clusters(clusters, failed=[0, 2])
-        covered = set().union(*fixed)
-        assert covered == {0, 1, 2, 3, 4, 5}
-        assert {0} in fixed and {5} in fixed
-
-    def test_singletonize_no_failures_is_identity(self):
-        clusters = [{0, 1}, {2}]
-        assert singletonize_failed_clusters(clusters, []) == [
-            {0, 1},
-            {2},
-        ]
-
     def test_property_tester_survives_clique_input(self):
         # A clique is as far from minor-free as possible; the tester
         # must terminate with a verdict, not crash.

@@ -9,7 +9,6 @@ from repro.core import (
     parallel_merge,
     partition_minor_free,
     run_framework,
-    singletonize_failed_clusters,
 )
 from repro.core.failure import diameter_bound
 from repro.errors import GraphError
@@ -130,16 +129,6 @@ class TestFailureSemantics:
     def test_diameter_bound_scales(self):
         assert diameter_bound(0.1, 100) > diameter_bound(0.5, 100)
         assert diameter_bound(0.0, 50) == 50
-
-    def test_singletonize_failed_clusters(self):
-        clusters = [{1, 2, 3}, {4, 5}, {6}]
-        fixed = singletonize_failed_clusters(clusters, failed=[1])
-        assert {frozenset(c) for c in fixed} == {
-            frozenset({1, 2, 3}),
-            frozenset({4}),
-            frozenset({5}),
-            frozenset({6}),
-        }
 
     def test_parallel_merge_semantics(self):
         a = CongestMetrics(

@@ -1,4 +1,4 @@
-"""Tests for greedy/local-search matching and star-elimination preprocessing."""
+"""Tests for greedy matching and star-elimination preprocessing."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from repro.generators import (
     delaunay_planar_graph,
     gnp_random_graph,
-    grid_graph,
-    random_integer_weights,
     star_graph,
 )
 from repro.graph import Graph
@@ -16,7 +14,6 @@ from repro.matching import (
     eliminate_stars,
     greedy_weight_matching,
     is_matching,
-    local_search_mwm,
     matching_weight,
     max_cardinality_matching,
     max_weight_matching,
@@ -54,29 +51,6 @@ class TestGreedy:
         covered = {v for e in m for v in e}
         for u, v in g.edges():
             assert u in covered or v in covered
-
-
-class TestLocalSearch:
-    @given(weighted_graphs())
-    @settings(max_examples=25, deadline=None)
-    def test_validity_and_ratio(self, g):
-        m = local_search_mwm(g, epsilon=0.34)
-        assert is_matching(g, m)
-        opt = matching_weight(g, max_weight_matching(g))
-        if opt > 0:
-            assert matching_weight(g, m) >= (1 - 0.34) * opt - 1e-9
-
-    def test_tighter_epsilon_not_worse(self):
-        g = random_integer_weights(grid_graph(5, 5), 10, seed=1)
-        loose = matching_weight(g, local_search_mwm(g, epsilon=0.5))
-        tight = matching_weight(g, local_search_mwm(g, epsilon=0.2))
-        assert tight >= loose - 1e-9
-
-    def test_planar_ratio(self):
-        g = random_integer_weights(delaunay_planar_graph(50, seed=2), 20, seed=3)
-        m = local_search_mwm(g, epsilon=0.25)
-        opt = matching_weight(g, max_weight_matching(g))
-        assert matching_weight(g, m) >= 0.75 * opt
 
 
 class TestStarElimination:

@@ -12,7 +12,6 @@ from repro.generators import (
     star_graph,
 )
 from repro.matching import (
-    distributed_mcm_minor_free,
     distributed_mcm_planar,
     distributed_mwm,
     greedy_weight_matching,
@@ -101,17 +100,3 @@ class TestDistributedMWM:
     def test_invalid_epsilon(self):
         with pytest.raises(SolverError):
             distributed_mwm(grid_graph(3, 3), 0.0)
-
-
-class TestDistributedMCMMinorFree:
-    def test_ratio_on_ktree(self):
-        g = k_tree(40, 3, seed=20)
-        result = distributed_mcm_minor_free(g, 0.3, iterations=2, seed=21)
-        assert is_matching(g, result.matching)
-        opt = len(max_cardinality_matching(g))
-        assert result.size >= 0.7 * opt
-
-    def test_unit_weights_used(self):
-        g = k_tree(30, 2, seed=22)
-        result = distributed_mcm_minor_free(g, 0.3, iterations=2, seed=23)
-        assert result.weight == result.size

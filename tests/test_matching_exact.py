@@ -18,12 +18,12 @@ from repro.generators import (
 )
 from repro.graph import Graph
 from repro.matching import (
-    brute_force_mwm,
     is_matching,
     matching_weight,
     max_cardinality_matching,
     max_weight_matching,
 )
+from tests._oracles import brute_force_mwm
 
 
 def weighted_graphs():

@@ -1,4 +1,4 @@
-"""Tests for minor search, degeneracy, and the small-class checkers."""
+"""Tests for degeneracy and the small-class checkers."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.generators import (
     grid_graph,
     k_tree,
     maximal_outerplanar_graph,
-    path_graph,
     random_tree,
     series_parallel_graph,
     star_graph,
@@ -20,59 +19,10 @@ from repro.minors import (
     degeneracy,
     degeneracy_ordering,
     greedy_orientation,
-    has_minor,
     is_forest,
     is_outerplanar,
     is_series_parallel,
 )
-
-
-class TestMinorSearch:
-    def test_k5_in_k6(self):
-        assert has_minor(complete_graph(6), complete_graph(5))
-
-    def test_k5_not_in_planar(self):
-        assert not has_minor(delaunay_planar_graph(60, seed=1), complete_graph(5))
-
-    def test_k33_not_in_planar(self):
-        assert not has_minor(grid_graph(5, 5), complete_bipartite_graph(3, 3))
-
-    def test_k4_in_wheel(self):
-        # A wheel (cycle + hub) contains K_4 as a minor.
-        g = cycle_graph(6)
-        for v in range(6):
-            g.add_edge(v, 10)
-        assert has_minor(g, complete_graph(4))
-
-    def test_k4_not_in_series_parallel(self):
-        g = series_parallel_graph(30, seed=2)
-        assert not has_minor(g, complete_graph(4))
-
-    def test_cycle_minor_of_larger_cycle(self):
-        assert has_minor(cycle_graph(10), cycle_graph(3))
-
-    def test_triangle_not_in_tree(self):
-        assert not has_minor(random_tree(20, seed=3), complete_graph(3))
-
-    def test_contraction_needed(self):
-        # C6 has K3 as a minor only via contraction.
-        assert has_minor(cycle_graph(6), complete_graph(3))
-
-    def test_empty_pattern(self):
-        assert has_minor(path_graph(3), Graph())
-
-    def test_pattern_larger_than_host(self):
-        assert not has_minor(path_graph(3), complete_graph(5))
-
-    def test_k5_in_k5_subdivision(self):
-        k5 = complete_graph(5)
-        g = Graph()
-        nxt = 5
-        for u, v in k5.edges():
-            g.add_edge(u, nxt)
-            g.add_edge(nxt, v)
-            nxt += 1
-        assert has_minor(g, complete_graph(5))
 
 
 class TestDegeneracy:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis import Table, format_ratio
+from repro.analysis import Table
 from repro.errors import (
     DecompositionError,
     GraphError,
@@ -14,7 +14,7 @@ from repro.errors import (
     RoutingError,
     SolverError,
 )
-from repro.rng import derive_seed, ensure_numpy_rng, ensure_rng, split_rng
+from repro.rng import ensure_numpy_rng, ensure_rng
 
 
 class TestRng:
@@ -36,22 +36,6 @@ class TestRng:
         gen = np.random.default_rng(0)
         assert ensure_numpy_rng(gen) is gen
 
-    def test_split_rng_children_independent(self):
-        children = split_rng(random.Random(7), 4)
-        values = [c.random() for c in children]
-        assert len(set(values)) == 4
-
-    def test_split_rng_negative_rejected(self):
-        with pytest.raises(ValueError):
-            split_rng(random.Random(0), -1)
-
-    def test_derive_seed_depends_on_stream(self):
-        a = derive_seed(random.Random(9), "walk")
-        b = derive_seed(random.Random(9), "walk")
-        assert isinstance(a, int) and a >= 0
-        assert a == b
-
-
 class TestReporting:
     def test_table_renders_aligned(self):
         t = Table("demo", ["a", "bb"])
@@ -71,11 +55,6 @@ class TestReporting:
         t = Table("demo", ["x"])
         t.add_row(0.123456789)
         assert "0.1235" in t.render()
-
-    def test_format_ratio(self):
-        assert format_ratio(0.98765) == "0.988"
-        assert format_ratio(1.0, digits=1) == "1.0"
-
 
 class TestErrors:
     def test_hierarchy(self):

@@ -1,19 +1,17 @@
-"""Tests for lazy random walks and mixing times."""
+"""Tests for the mixing-time bound, checked against the exact definition."""
 
 import numpy as np
 import pytest
 
-from repro.errors import GraphError, SolverError
+from repro.errors import GraphError
 from repro.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from repro.graph import Graph
-from repro.spectral import (
+from repro.spectral import mixing_time_bound
+from tests._oracles import (
     lazy_walk_matrix,
-    mixing_time_bound,
     mixing_time_exact,
-    simulate_lazy_walk,
     stationary_distribution,
 )
-from repro.spectral.random_walk import hitting_fraction
 
 
 class TestWalkMatrix:
@@ -77,29 +75,3 @@ class TestMixingTime:
         g = Graph.from_edges([(0, 1), (2, 3)])
         assert mixing_time_bound(g) == float("inf")
 
-
-class TestSimulation:
-    def test_walk_length_and_validity(self):
-        g = grid_graph(4, 4)
-        path = simulate_lazy_walk(g, 0, 50, seed=1)
-        assert len(path) == 51
-        for a, b in zip(path, path[1:]):
-            assert a == b or g.has_edge(a, b)
-
-    def test_walk_deterministic_by_seed(self):
-        g = grid_graph(4, 4)
-        assert simulate_lazy_walk(g, 0, 30, seed=9) == simulate_lazy_walk(
-            g, 0, 30, seed=9
-        )
-
-    def test_missing_start_rejected(self):
-        with pytest.raises(GraphError):
-            simulate_lazy_walk(grid_graph(2, 2), 99, 5)
-
-    def test_hitting_fraction_increases_with_length(self):
-        g = grid_graph(5, 5)
-        target = 12  # center vertex
-        short = hitting_fraction(g, target, 5, trials=80, seed=2)
-        long = hitting_fraction(g, target, 300, trials=80, seed=2)
-        assert long >= short
-        assert long > 0.9

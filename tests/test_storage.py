@@ -28,7 +28,6 @@ from repro.storage import (
     canonical_json,
     check_record,
     frame_bytes,
-    iter_sealed_lines,
     read_bytes,
     read_text,
     reset_storage_stats,
@@ -152,6 +151,17 @@ def test_atomic_write_replaces_and_leaves_no_temp_files(tmp_path):
     assert storage_stats().writes == 2 and storage_stats().reads == 1
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_honours_the_umask(tmp_path, umask, mode):
+    path = str(tmp_path / "artifact.bin")
+    previous = os.umask(umask)
+    try:
+        atomic_write_bytes(path, b"data")
+    finally:
+        os.umask(previous)
+    assert os.stat(path).st_mode & 0o777 == mode
+
+
 def test_torn_write_is_caught_by_the_frame(tmp_path):
     path = str(tmp_path / "entry.bin")
     framed = frame_bytes(b"payload bytes that tear")
@@ -267,6 +277,17 @@ def test_use_disk_faults_scopes_and_nests(tmp_path):
 # Durable appends and verified replay
 # ----------------------------------------------------------------------
 
+def _replay(path):
+    """(verified records, count of bad lines) of a sealed JSONL file."""
+    records, skipped = [], 0
+    for line in read_text(path).splitlines():
+        try:
+            records.append(check_record(json.loads(line)))
+        except (ValueError, ChecksumError):
+            skipped += 1
+    return records, skipped
+
+
 def test_appender_writes_sealed_lines_that_verify(tmp_path):
     path = str(tmp_path / "log.jsonl")
     with DurableAppender(path, "w") as appender:
@@ -277,13 +298,12 @@ def test_appender_writes_sealed_lines_that_verify(tmp_path):
     with pytest.raises(StorageError, match="closed"):
         appender.append("late")
 
-    stats = {}
-    records = list(iter_sealed_lines(path, stats))
+    records, skipped = _replay(path)
     assert records == [
         {"kind": "header", "schema": 1},
         {"kind": "cell", "index": 0},
     ]
-    assert stats["skipped"] == 1
+    assert skipped == 1
     assert storage_stats().appends == 3
 
 
@@ -294,9 +314,7 @@ def test_torn_append_is_skipped_on_replay(tmp_path):
     with use_disk_faults(DiskFaultPlan(seed=4, torn_write=1.0)):
         with DurableAppender(path, "a") as appender:
             appender.append_record({"index": 1})
-    stats = {}
-    assert list(iter_sealed_lines(path, stats)) == [{"index": 0}]
-    assert stats["skipped"] == 1
+    assert _replay(path) == ([{"index": 0}], 1)
 
 
 def test_dropped_append_never_reaches_the_file(tmp_path):
